@@ -35,8 +35,6 @@ from .recognize import (
     check_perfect_substrings,
     perfect_substring_bounds,
     recognize,
-    recognize_connected,
-    recognize_connected_reduced,
     verify_certificate,
 )
 
@@ -66,8 +64,6 @@ __all__ = [
     "perfect_substring_bounds",
     "probe_subgraph",
     "recognize",
-    "recognize_connected",
-    "recognize_connected_reduced",
     "recognize_proper_interval",
     "sequence_from_iterable",
     "serialize_tagged_graph",

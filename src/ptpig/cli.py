@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: recognize, certify, verify, canonical, oracle, gen, bench.
-Exit codes: 0 accept/valid, 1 reject/invalid, 2 input or usage errors.
+Exit codes: 0 accept/valid, 1 reject/invalid, 2 input or usage errors,
+3 internal errors (any other exception, so that one never reads as REJECT).
 """
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ def run_bench(sizes, seed: int) -> BenchReport:
             t0 = time.perf_counter()
             res = recognize(g)
             samples.append(time.perf_counter() - t0)
-        assert res.accepted  # planted instances are yes-instances
+        if not res.accepted:  # planted instances are yes-instances
+            raise RuntimeError(f"bench instance of size {n} rejected: {res.reason}")
         rows.append(BenchRow(size=g.n + g.edge_count, seconds=statistics.median(samples)))
     slope = None
     if len(rows) > 1:
@@ -271,6 +273,9 @@ def main(argv=None) -> int:
     except (OSError, GraphFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

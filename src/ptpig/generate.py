@@ -10,7 +10,9 @@ and its planted representation doubles as a checkable certificate.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import TaggedGraph, tagged_graph
 
@@ -92,11 +94,15 @@ def generate(spec: GenSpec) -> tuple[TaggedGraph, dict | None]:
         seen.discard(0)
         edges.extend((v, w) for v in sorted(seen))
     if spec.perturb:
-        flippable = [
-            (u, v) for u in range(1, p + 1) for v in range(u + 1, p + q + 1)
-        ]
+        # index i names the i-th flippable pair (u, v), u <= p, u < v, in
+        # row-major order; sampling indices picks what sampling a list would
+        n = p + q
+        starts = list(accumulate((n - u for u in range(1, p)), initial=0))
+        total = p * n - p * (p + 1) // 2
         es = set(edges)
-        for e in rng.sample(flippable, min(spec.perturb, len(flippable))):
+        for i in rng.sample(range(total), min(spec.perturb, total)):
+            u = bisect_right(starts, i)
+            e = (u, u + 1 + i - starts[u - 1])
             if e in es:
                 es.discard(e)
             else:

@@ -27,12 +27,6 @@ class TaggedGraph:
     def n(self) -> int:
         return self.p + self.q
 
-    def is_probe(self, v: int) -> bool:
-        return 1 <= v <= self.p
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -55,9 +49,6 @@ class ProbeGraph:
 
     n: int
     adj: tuple[tuple[int, ...], ...]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
 
 @dataclass(frozen=True)

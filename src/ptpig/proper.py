@@ -3,15 +3,16 @@
 A canonical ordering places every closed neighborhood consecutively; the
 stair sequence lists each vertex twice so that intervals [first, second]
 realize the graph.  Both exist exactly for proper interval graphs, and for
-connected reduced graphs the sequence is unique up to reversal.
+connected reduced graphs the sequence is unique up to reversal.  Recognition
+is three lexicographic-BFS sweeps per component and one check of the last
+ordering; that check alone decides, with no PQ-tree fallback behind it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ProbeGraph, ReducedGraph, compute_blocks, connected_components
-from .pqtree import PQTree
+from .graph import ProbeGraph, connected_components
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,6 @@ def sequence_from_iterable(seq) -> CanonicalSequence:
     if len(second) != len(first):
         raise ValueError("every element must occur exactly twice")
     return CanonicalSequence(seq=seq, L=first, R=second)
-
-
-def reversed_sequence(cs: CanonicalSequence) -> CanonicalSequence:
-    return sequence_from_iterable(reversed(cs.seq))
 
 
 def _normalize_component_order(g: ProbeGraph, fr: list) -> list:
@@ -143,9 +140,10 @@ def recognize_proper_interval(g: ProbeGraph):
     """A vertex ordering with all closed neighborhoods consecutive, or None.
 
     Components are handled independently and concatenated in index order.
-    Three refinement sweeps find the ordering directly on most inputs; the
-    PQ-tree reduction is the deciding fallback whenever the candidate fails
-    verification, so the sweeps never affect the verdict.
+    Per component, an LBFS sweep followed by two LBFS+ sweeps yields an
+    ordering with every closed neighborhood consecutive exactly when the
+    component is a proper interval graph (Corneil, Discrete Applied Math.
+    138, 2004), so checking the third sweep's ordering decides.
     """
     comp = connected_components(g)
     order: list[int] = []
@@ -156,14 +154,9 @@ def recognize_proper_interval(g: ProbeGraph):
         cand = list(vs)
         for _ in range(3):
             cand = _lbfs_sweep(g.adj, cand)
-        if _umbrella_ok(g, cand):
-            order.extend(_normalize_component_order(g, cand))
-            continue
-        tree = PQTree(vs)
-        for v in vs:
-            if not tree.restrict(set(g.adj[v]) | {v}):
-                return None
-        order.extend(_normalize_component_order(g, list(tree.frontier())))
+        if not _umbrella_ok(g, cand):
+            return None
+        order.extend(_normalize_component_order(g, cand))
     return tuple(order)
 
 
@@ -207,33 +200,3 @@ def canonical_sequence(g: ProbeGraph, order, validate: bool = True) -> Canonical
 def interval_rep_from_sequence(cs: CanonicalSequence) -> dict:
     """Vertex -> [first position, second position]; a proper representation."""
     return {v: (cs.L[v], cs.R[v]) for v in cs.L}
-
-
-def block_sequence(g: ProbeGraph):
-    """Reduced graph, block ordering and block-level stair sequence.
-
-    Returns (rg, order, cs) with cs over block ids, or None when the graph
-    is not proper interval.  The block ordering is unique up to reversal
-    per component because the quotient has no twins left to permute.
-    """
-    rg = compute_blocks(g)
-    order = recognize_proper_interval(rg.quotient)
-    if order is None:
-        return None
-    cs = canonical_sequence(rg.quotient, order, validate=False)
-    return rg, order, cs
-
-
-def expand_block_sequence(rg: ReducedGraph, block_cs: CanonicalSequence, perms: dict) -> CanonicalSequence:
-    """Vertex-level sequence: each block occurrence becomes perms[k] in order.
-
-    The same permutation is used at both occurrences, so every vertex again
-    appears exactly twice.
-    """
-    for k, vs in perms.items():
-        if sorted(vs) != list(rg.blocks[k - 1]):
-            raise ValueError(f"permutation for block {k} does not match its vertices")
-    out: list[int] = []
-    for k in block_cs.seq:
-        out.extend(perms[k])
-    return sequence_from_iterable(out)

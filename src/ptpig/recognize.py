@@ -3,16 +3,18 @@
 Accepts exactly the graphs whose probe subgraph admits a canonical ordering
 (a proper interval layout) such that every nonprobe has a *perfect
 substring* in the doubled stair sequence: a contiguous stretch containing
-only its neighbors and each neighbor at least once.  The pipeline:
+only its neighbors and each neighbor at least once.  One pipeline:
 
-  1. nonprobe independence, probe subgraph proper interval;
-  2. per component, reduce to twin blocks and constrain each block's
-     internal order with one PQ-tree (end markers included), driven by a
-     window analysis of the block-level stair sequence per nonprobe;
-  3. components are then arranged and oriented via a small
+  1. nonprobe independence, the probe subgraph and its components;
+  2. twin blocks, the block ordering and the block stair sequence, once for
+     the whole probe graph; each component works on its own slice of them;
+  3. per component, constrain each block's internal order with one PQ-tree
+     (end markers included), driven by a window analysis of the block stair
+     sequence per nonprobe, then settle the component's vertex sequence;
+  4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
-  4. a vertex-level final check re-validates every nonprobe before the
-     interval certificate is emitted.
+  5. one final pass finds every nonprobe's window and builds the interval
+     certificate from them.
 
 Rejections carry a machine-readable reason code and, where meaningful, a
 witness nonprobe.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 
 from .graph import (
-    ProbeGraph,
+    ReducedGraph,
     TaggedGraph,
     compute_blocks,
     connected_components,
@@ -44,7 +46,6 @@ NONPROBE_EDGE = "NONPROBE_EDGE"
 PROBE_NOT_PROPER = "PROBE_NOT_PROPER"
 A1_FAIL = "A1_FAIL"
 B1_FAIL = "B1_FAIL"
-CATEGORY3 = "CATEGORY3"
 CASE3 = "CASE3"
 CASE4 = "CASE4"
 MARKER_PQ_INFEASIBLE = "MARKER_PQ_INFEASIBLE"
@@ -68,10 +69,6 @@ def _reject(reason: str, witness=None, edge=None) -> RecognitionResult:
     return RecognitionResult(False, reason=reason, witness=witness, edge=edge)
 
 
-def _accept(g: TaggedGraph, cs: CanonicalSequence) -> RecognitionResult:
-    return RecognitionResult(True, sequence=cs, certificate=build_certificate(g, cs))
-
-
 # -- window primitives -------------------------------------------------------
 
 
@@ -89,35 +86,6 @@ def long_ones_runs(bits, d: int):
             start = None
     if start is not None and len(bits) + 1 - start >= d:
         out.append((start, len(bits)))
-    return out
-
-
-def partial_end_runs(entries, d: int):
-    """Runs over a 0/1/2 array: interior all 1, ends in {1,2}, length >= d.
-
-    Within each 0-free segment the admissible runs are delimited by the
-    segment ends and the positions of 2's (2's never appear inside).
-    """
-    out = []
-    n = len(entries)
-    i = 1
-    while i <= n:
-        if entries[i - 1] == 0:
-            i += 1
-            continue
-        j = i
-        while j <= n and entries[j - 1] != 0:
-            j += 1
-        seg_end = j - 1
-        cuts = sorted({i, seg_end, *(p for p in range(i, seg_end + 1) if entries[p - 1] == 2)})
-        if len(cuts) == 1:
-            if d <= 1:
-                out.append((cuts[0], cuts[0]))
-        else:
-            for a, b in zip(cuts, cuts[1:]):
-                if b - a + 1 >= d:
-                    out.append((a, b))
-        i = j
     return out
 
 
@@ -173,17 +141,17 @@ def check_perfect_substrings(g: TaggedGraph, cs: CanonicalSequence):
 # -- block-level analysis ----------------------------------------------------
 
 
-def block_neighbor_classes(g: TaggedGraph, rg, w: int) -> dict:
-    """f_w: block -> 1 (every vertex adjacent) or 2 (some but not all).
-
-    Blocks without neighbors of w are absent (implicitly 0).  Cost is
-    proportional to deg(w).
+def block_classes(rg: ReducedGraph, nbrs):
+    """(ngb, fw) for a nonprobe's neighbors: ngb maps each block they touch
+    to the neighbors inside it, fw maps it to 1 (every vertex adjacent) or 2
+    (some but not all).  Blocks without neighbors are absent (implicitly 0).
+    Cost is proportional to |nbrs|.
     """
-    counts: dict = {}
-    for u in g.adj[w]:
-        k = rg.block_of[u]
-        counts[k] = counts.get(k, 0) + 1
-    return {k: (1 if c == len(rg.blocks[k - 1]) else 2) for k, c in counts.items()}
+    ngb: dict = {}
+    for u in nbrs:
+        ngb.setdefault(rg.block_of[u], set()).add(u)
+    fw = {k: (1 if len(s) == len(rg.blocks[k - 1]) else 2) for k, s in ngb.items()}
+    return ngb, fw
 
 
 def block_window_candidates(bcs: CanonicalSequence, fw: dict):
@@ -243,28 +211,25 @@ def block_window_candidates(bcs: CanonicalSequence, fw: dict):
 
 
 class _CompState:
-    """Block trees and bookkeeping for laying out one probe component."""
+    """Block trees and bookkeeping for laying out one probe component.
 
-    def __init__(self, g: TaggedGraph, pg: ProbeGraph, vertices):
-        self.gvs = tuple(vertices)
-        loc = {v: i + 1 for i, v in enumerate(self.gvs)}
-        self.loc = loc
-        n = len(self.gvs)
-        ladj = [()]
-        for v in self.gvs:
-            ladj.append(tuple(sorted(loc[u] for u in pg.adj[v])))
-        self.rg = compute_blocks(ProbeGraph(n=n, adj=tuple(ladj)))
-        # the quotient is proper interval iff the component is: twins expand
-        # into staggered copies of their block's interval
-        self.border = recognize_proper_interval(self.rg.quotient)
-        if self.border is None:
-            return
-        self.bcs = canonical_sequence(self.rg.quotient, self.border, validate=False)
-        self.block_members: dict = {}
+    The component owns a run of the global block ordering, border, and the
+    matching run of the block stair sequence bcs, positions first..last:
+    components never share a block, and their stair sequences follow one
+    another in the order of their blocks.
+    """
+
+    def __init__(self, rg: ReducedGraph, bcs: CanonicalSequence, border, lo: int, size: int):
+        self.rg = rg
+        self.bcs = bcs
+        self.border = border
+        self.t = len(border)
+        self.first = 2 * lo + 1
+        self.last = 2 * (lo + self.t)
+        self.size = size  # number of probes
         self.trees: dict = {}
-        for k in range(1, self.rg.t + 1):
-            members = tuple(self.gvs[lv - 1] for lv in self.rg.blocks[k - 1])
-            self.block_members[k] = members
+        for k in border:
+            members = rg.blocks[k - 1]
             if len(members) > 1:
                 tree = PQTree((*members, MARK_LEFT, MARK_RIGHT))
                 tree.restrict({*members, MARK_LEFT})
@@ -272,19 +237,10 @@ class _CompState:
                 self.trees[k] = tree
         self.deferred: list = []  # (w, block, ngb) either-direction flushes
         self.circ: list = []  # (w, ngb) wrap-capable sets on a complete component
+        self.window_ws: list = []  # (w, nbrs) local, with a partial block
         self.boundary_ws: list = []  # (w, ngb-in-component) needing an end window
         self.vcs: CanonicalSequence | None = None
         self.sides: dict = {}  # w -> feasible ends of the settled sequence
-
-    # .. helpers ..
-
-    def _classes(self, nbrs):
-        """(ngb, fw): per-block neighbor sets and full/partial flags."""
-        ngb: dict = {}
-        for u in nbrs:
-            ngb.setdefault(self.rg.block_of[self.loc[u]], set()).add(u)
-        fw = {k: (1 if len(s) == len(self.block_members[k]) else 2) for k, s in ngb.items()}
-        return ngb, fw
 
     def _flush(self, k: int, s, mark) -> bool:
         return self.trees[k].restrict(frozenset(s) | {mark})
@@ -294,20 +250,25 @@ class _CompState:
     def constrain_local(self, w: int, nbrs) -> str | None:
         """Record/apply the constraints for a nonprobe confined to this
         component; returns a reject code on impossibility."""
-        ngb, fw = self._classes(nbrs)
-        if self.rg.t == 1:
-            if fw[1] == 1:
-                return None  # complete neighborhood: any ordering works
-            self.circ.append((w, frozenset(ngb[1])))
+        ngb, fw = block_classes(self.rg, nbrs)
+        partials = sorted(k for k in fw if fw[k] == 2)
+        if not partials:
+            # a window over whole blocks is a perfect substring of the block
+            # sequence, whatever the orders inside the blocks
+            if self.t > 1 and perfect_substring_bounds(self.bcs, frozenset(fw)) is None:
+                return B1_FAIL
             return None
+        # the window depends on the orders inside blocks; settle checks it
+        self.window_ws.append((w, nbrs))
+        if self.t == 1:
+            self.circ.append((w, frozenset(ngb[partials[0]])))
+            return None
+        # every partial block of a window is one of its two end blocks
+        if len(partials) > 2:
+            return B1_FAIL
         pairs = block_window_candidates(self.bcs, fw)
         if not pairs:
             return B1_FAIL
-        partials = sorted(k for k in fw if fw[k] == 2)
-        if len(partials) >= 3:
-            return CATEGORY3
-        if not partials:
-            return None
         if len(partials) == 1:
             k = partials[0]
             s = ngb[k]
@@ -317,7 +278,7 @@ class _CompState:
             if any(k1 == k == k2 and a < b for (k1, k2, a, b) in pairs):
                 # window spans from one occurrence of k to the other, eating
                 # the complement from the middle
-                rest = set(self.block_members[k]) - s
+                rest = set(self.rg.blocks[k - 1]) - s
                 return None if self.trees[k].restrict(rest) else FINAL_CHECK_FAIL
             starts = any(k1 == k != k2 for (k1, k2, _, _) in pairs)
             ends = any(k2 == k != k1 for (k1, k2, _, _) in pairs)
@@ -348,13 +309,13 @@ class _CompState:
 
     def constrain_boundary(self, w: int, nbrs) -> str | None:
         """A nonprobe reaching other components must eat a whole end here."""
-        ngb, fw = self._classes(nbrs)
+        ngb, fw = block_classes(self.rg, nbrs)
         partials = sorted(k for k in fw if fw[k] == 2)
         if len(partials) >= 2:
             return CASE4
         feas = {}
         seq = self.bcs.seq
-        z = 1
+        z = self.first
         while fw.get(seq[z - 1], 0) == 1:
             z += 1
         f = fw.get(seq[z - 1], 0)
@@ -364,7 +325,7 @@ class _CompState:
             c = seq[z - 1]
             ok = set(partials) <= {c} and all(k == c or self.bcs.L[k] <= z - 1 for k in fw)
             feas["L"] = (ok, c)
-        z = len(seq)
+        z = self.last
         while fw.get(seq[z - 1], 0) == 1:
             z -= 1
         f = fw.get(seq[z - 1], 0)
@@ -414,10 +375,9 @@ class _CompState:
         """
         if not self.circ:
             return None
-        members = self.block_members[1]
-        tree = self.trees.get(1)
-        if tree is None:
-            return None  # single-vertex component: only full neighborhoods
+        k = self.border[0]
+        members = self.rg.blocks[k - 1]
+        tree = self.trees[k]  # circ sets are partial, so the block has twins
         full = frozenset(members)
         if not self.deferred and not self.boundary_ws:
             anchor = members[0]
@@ -433,7 +393,7 @@ class _CompState:
         while stack:
             cur, i = stack.pop()
             if i == len(choices):
-                self.trees[1] = cur
+                self.trees[k] = cur
                 return None
             visited += 1
             if visited > _CHOICE_CAP:
@@ -444,7 +404,7 @@ class _CompState:
                         cur = probe
                     elif not cur.restrict(cj):
                         return wj
-                self.trees[1] = cur
+                self.trees[k] = cur
                 return None
             w, s, comp = choices[i]
             nexts = []
@@ -463,26 +423,28 @@ class _CompState:
 
     def _sigma(self) -> dict:
         out = {}
-        for k, members in self.block_members.items():
+        for k in self.border:
             tree = self.trees.get(k)
-            out[k] = members if tree is None else tuple(strip_markers(tree.frontier()))
+            out[k] = self.rg.blocks[k - 1] if tree is None else tuple(strip_markers(tree.frontier()))
         return out
 
-    def settle(self, local_ws):
+    def settle(self):
         """Fix the component's vertex sequence.
 
         The trees pin everything except possibly the reading direction of
         the blocks at the two ends of the block ordering; try reversing any
-        subset of those (at most 16 combinations), validating every local
-        nonprobe window and every boundary nonprobe end against the
-        expanded sequence.  Returns None on success, else a witness.
+        subset of those with more than one vertex (at most 16 combinations),
+        validating the window of every local nonprobe that meets a block
+        partially, and every boundary nonprobe end, against the expanded
+        sequence.  Returns None on success, else a witness.
         """
         sigma = self._sigma()
-        t = self.rg.t
+        t = self.t
         special: list = []
         for pos in (1, 2, t - 1, t):
-            if 1 <= pos <= t and self.border[pos - 1] not in special:
-                special.append(self.border[pos - 1])
+            k = self.border[pos - 1] if 1 <= pos <= t else None
+            if k in self.trees and k not in special:
+                special.append(k)
         witness = None
         for mask in range(1 << len(special)):
             perms = dict(sigma)
@@ -490,11 +452,11 @@ class _CompState:
                 if mask >> i & 1:
                     perms[k] = tuple(reversed(sigma[k]))
             seq: list = []
-            for k in self.bcs.seq:
+            for k in self.bcs.seq[self.first - 1:self.last]:
                 seq.extend(perms[k])
             vcs = sequence_from_iterable(seq)
             ok = True
-            for w, nbrs in local_ws:
+            for w, nbrs in self.window_ws:
                 if perfect_substring_bounds(vcs, nbrs) is None:
                     ok = False
                     if witness is None:
@@ -538,87 +500,35 @@ def _vertex_sides(vcs: CanonicalSequence, nbrs) -> set:
     return out
 
 
-# -- engines -----------------------------------------------------------------
-
-
-def recognize_connected_reduced(g: TaggedGraph) -> RecognitionResult:
-    """Probe subgraph connected with all closed neighborhoods distinct:
-    the stair sequence is unique up to reversal, so one window check per
-    nonprobe decides membership."""
-    bad = validate_nonprobe_independence(g)
-    if bad is not None:
-        return _reject(NONPROBE_EDGE, witness=bad[0], edge=bad)
-    pg = probe_subgraph(g)
-    order = recognize_proper_interval(pg)
-    if order is None:
-        return _reject(PROBE_NOT_PROPER)
-    cs = canonical_sequence(pg, order, validate=False)
-    w = check_perfect_substrings(g, cs)
-    if w is not None:
-        return _reject(A1_FAIL, witness=w)
-    return _accept(g, cs)
-
-
-def _settle_single(g: TaggedGraph, pg: ProbeGraph, vertices, local_ws):
-    """Run the whole per-component pipeline; RecognitionResult on failure,
-    else the settled _CompState."""
-    state = _CompState(g, pg, vertices)
-    if state.border is None:
-        return _reject(PROBE_NOT_PROPER)
-    for w, nbrs in local_ws:
-        code = state.constrain_local(w, nbrs)
-        if code is not None:
-            return _reject(code, witness=w)
-    bad = state.resolve_deferred()
-    if bad is None:
-        bad = state.resolve_circular()
-    if bad is not None:
-        return _reject(FINAL_CHECK_FAIL, witness=bad)
-    bad = state.settle(local_ws)
-    if bad is not None:
-        return _reject(FINAL_CHECK_FAIL, witness=bad)
-    return state
-
-
-def recognize_connected(g: TaggedGraph) -> RecognitionResult:
-    """Probe subgraph connected, twins allowed."""
-    bad = validate_nonprobe_independence(g)
-    if bad is not None:
-        return _reject(NONPROBE_EDGE, witness=bad[0], edge=bad)
-    pg = probe_subgraph(g)
-    local_ws = [
-        (w, frozenset(g.adj[w])) for w in range(g.p + 1, g.n + 1) if g.adj[w]
-    ]
-    got = _settle_single(g, pg, range(1, g.p + 1), local_ws)
-    if isinstance(got, RecognitionResult):
-        return got
-    cs = got.vcs
-    w = check_perfect_substrings(g, cs)
-    if w is not None:
-        return _reject(FINAL_CHECK_FAIL, witness=w)
-    return _accept(g, cs)
+# -- the pipeline ------------------------------------------------------------
 
 
 def recognize(g: TaggedGraph) -> RecognitionResult:
-    """Public entry: dispatches on connectivity and reducedness."""
+    """Decide g; an accepting result carries the sequence and certificate."""
     bad = validate_nonprobe_independence(g)
     if bad is not None:
         return _reject(NONPROBE_EDGE, witness=bad[0], edge=bad)
-    if g.p == 0:
-        return _accept(g, sequence_from_iterable(()))
     pg = probe_subgraph(g)
     comps = connected_components(pg)
-    if comps.r == 1:
-        if compute_blocks(pg).t == g.p:
-            return recognize_connected_reduced(g)
-        return recognize_connected(g)
-    return _recognize_multi(g, pg, comps)
-
-
-def _recognize_multi(g: TaggedGraph, pg: ProbeGraph, comps) -> RecognitionResult:
-    states = {ci: _CompState(g, pg, vs) for ci, vs in enumerate(comps.components, 1)}
-    if any(st.border is None for st in states.values()):
+    rg = compute_blocks(pg)
+    # the quotient is proper interval iff the probe graph is: twins expand
+    # into staggered copies of their block's interval
+    border = recognize_proper_interval(rg.quotient)
+    if border is None:
         return _reject(PROBE_NOT_PROPER)
+    bcs = canonical_sequence(rg.quotient, border, validate=False)
+    # twins are adjacent, so a block lies inside one component, and the
+    # quotient's components come out in the probe graph's component order
+    states: dict = {}
+    lo = 0
+    for ci, vs in enumerate(comps.components, 1):
+        t = len({rg.block_of[v] for v in vs})
+        states[ci] = _CompState(rg, bcs, border[lo:lo + t], lo, len(vs))
+        lo += t
+    # a connected, twin-free probe part has one stair sequence up to
+    # reversal; a nonprobe without a window there is reported as A1_FAIL
+    missing = A1_FAIL if comps.r == 1 and rg.t == g.p else B1_FAIL
+
     local_ws = {ci: [] for ci in states}
     multi_ws = []
     for w in range(g.p + 1, g.n + 1):
@@ -638,10 +548,10 @@ def _recognize_multi(g: TaggedGraph, pg: ProbeGraph, comps) -> RecognitionResult
         for w, nbrs in local_ws[ci]:
             code = state.constrain_local(w, nbrs)
             if code is not None:
-                return _reject(code, witness=w)
+                return _reject(missing if code == B1_FAIL else code, witness=w)
 
     for w, touched in multi_ws:
-        partial_cis = [ci for ci, us in touched.items() if len(us) < len(states[ci].gvs)]
+        partial_cis = [ci for ci, us in touched.items() if len(us) < states[ci].size]
         if len(partial_cis) > 2:
             return _reject(CASE3, witness=w)
         for ci in partial_cis:
@@ -655,7 +565,7 @@ def _recognize_multi(g: TaggedGraph, pg: ProbeGraph, comps) -> RecognitionResult
             bad = state.resolve_circular()
         if bad is not None:
             return _reject(FINAL_CHECK_FAIL, witness=bad)
-        bad = state.settle(local_ws[ci])
+        bad = state.settle()
         if bad is not None:
             return _reject(FINAL_CHECK_FAIL, witness=bad)
 
@@ -667,10 +577,11 @@ def _recognize_multi(g: TaggedGraph, pg: ProbeGraph, comps) -> RecognitionResult
         s = states[ci].vcs.seq
         seq.extend(reversed(s) if flipped else s)
     cs = sequence_from_iterable(seq)
-    w = check_perfect_substrings(g, cs)
-    if w is not None:
-        return _reject(FINAL_CHECK_FAIL, witness=w)
-    return _accept(g, cs)
+    try:
+        cert = build_certificate(g, cs)
+    except MissingWindow as exc:
+        return _reject(FINAL_CHECK_FAIL, witness=exc.witness)
+    return RecognitionResult(True, sequence=cs, certificate=cert)
 
 
 def _arrange_components(states: dict, multi_ws: list):
@@ -694,7 +605,7 @@ def _arrange_components(states: dict, multi_ws: list):
         tset = set()
         for ci, us in touched.items():
             state = states[ci]
-            if len(us) == len(state.gvs):
+            if len(us) == state.size:
                 tset.add(("L", ci))
                 tset.add(("R", ci))
             else:
@@ -730,12 +641,21 @@ def _arrange_components(states: dict, multi_ws: list):
 # -- certificates ------------------------------------------------------------
 
 
-def build_certificate(g: TaggedGraph, cs: CanonicalSequence, bounds: dict | None = None) -> dict:
+class MissingWindow(ValueError):
+    """A nonprobe has no perfect substring in the sequence."""
+
+    def __init__(self, w: int):
+        super().__init__(f"sequence admits no window for nonprobe {w}")
+        self.witness = w
+
+
+def build_certificate(g: TaggedGraph, cs: CanonicalSequence) -> dict:
     """Vertex -> (lo, hi) intervals realizing g from a perfect sequence.
 
     Probes read their two positions straight off the sequence; nonprobes get
     their (leftmost maximal) perfect substring, and isolated nonprobes park
-    one point each past every probe endpoint.
+    one point each past every probe endpoint.  Raises MissingWindow for the
+    first nonprobe without a perfect substring in cs.
     """
     cert: dict = {}
     for v in range(1, g.p + 1):
@@ -747,11 +667,9 @@ def build_certificate(g: TaggedGraph, cs: CanonicalSequence, bounds: dict | None
             cert[w] = (spare, spare)
             spare += 1
             continue
-        if bounds is not None and w in bounds:
-            got = bounds[w]
-        else:
-            got = perfect_substring_bounds(cs, frozenset(nbrs))
-        assert got is not None, "sequence admits no window for a nonprobe"
+        got = perfect_substring_bounds(cs, frozenset(nbrs))
+        if got is None:
+            raise MissingWindow(w)
         cert[w] = got
     return cert
 

@@ -167,3 +167,14 @@ def test_bench_rejects_malformed_sizes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--sizes", "4x0"])
     assert exc.value.code == 2
+
+
+def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
+    def boom(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("ptpig.cli.recognize", boom)
+    path = write_graph(tmp_path, "a.txt", 8, 6, EX36_EDGES)
+    assert main(["recognize", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: RecursionError: maximum recursion depth exceeded"]

@@ -1,3 +1,7 @@
+import itertools
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,9 +13,11 @@ from ptpig import (
     probe_subgraph,
     recognize,
     serialize_tagged_graph,
+    tagged_graph,
     validate_nonprobe_independence,
     verify_certificate,
 )
+from ptpig.generate import _endpoint_walk
 
 
 def test_deterministic_per_seed():
@@ -51,6 +57,50 @@ def test_perturbed_loses_the_certificate():
     assert cert is None
     # flips touch only probe-incident pairs, so independence must survive
     assert validate_nonprobe_independence(g) is None
+
+
+def listed_perturbation(spec):
+    """generate() as first written, the reference for its perturbation: it
+    lists every flippable pair and samples the list."""
+    rng = random.Random(spec.seed)
+    p, q = spec.probes, spec.nonprobes
+    L, R, owner = _endpoint_walk(rng, p, spec.overlap)
+    edges = []
+    for i in range(1, p + 1):
+        j = i + 1
+        while j <= p and L[j] < R[i]:
+            edges.append((i, j))
+            j += 1
+    axis = 2 * p + 1
+    width = int(spec.span * 2 * p)
+    for k in range(1, q + 1):
+        w = p + k
+        lo = rng.randint(1, axis)
+        hi = min(lo + (rng.randint(0, width) if width else 0), axis)
+        seen = {owner[pos] for pos in range(lo, min(hi, 2 * p) + 1)}
+        seen.discard(0)
+        edges.extend((v, w) for v in sorted(seen))
+    flippable = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + q + 1)]
+    es = set(edges)
+    for e in rng.sample(flippable, min(spec.perturb, len(flippable))):
+        es.symmetric_difference_update({e})
+    return tagged_graph(p, q, sorted(es))
+
+
+def test_perturbation_matches_listed_pairs():
+    for p, q, perturb, seed in itertools.product(range(7), range(4), (1, 2, 5, 40), range(3)):
+        spec = GenSpec(p, q, seed=seed, span=0.3, perturb=perturb)
+        got, _ = generate(spec)
+        assert serialize_tagged_graph(got) == serialize_tagged_graph(listed_perturbation(spec))
+    # 2,000 probes have about 2e6 flippable pairs: listing them peaks at
+    # about 200 MB, the instance itself at about 13 MB
+    tracemalloc.start()
+    try:
+        g, _ = generate(GenSpec(2000, 0, perturb=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.p == 2000 and peak < 50e6
 
 
 def test_bad_specs_raise():

@@ -14,7 +14,6 @@ from ptpig import (
     tagged_graph,
 )
 from ptpig.oracle import enumerate_canonical_orderings
-from ptpig.proper import block_sequence, expand_block_sequence, reversed_sequence
 
 from .conftest import EX22_STAIR, EX33_PROBE_STAIR
 
@@ -82,7 +81,7 @@ def test_lookup_tables():
 
 def test_reversed_sequence_flips_tables():
     cs = sequence_from_iterable(EX22_STAIR)
-    rev = reversed_sequence(cs)
+    rev = sequence_from_iterable(reversed(cs.seq))
     n2 = len(cs.seq)
     for v in cs.L:
         assert rev.L[v] == n2 + 1 - cs.R[v]
@@ -99,9 +98,19 @@ def test_interval_rep_goldens():
     assert interval_rep_from_sequence(sequence_from_iterable((1, 2, 1, 2))) == {1: (1, 3), 2: (2, 4)}
 
 
+def block_layer(pg):
+    """Twin blocks, block ordering and block stair sequence, as the
+    recognizer computes them, or None when pg is not proper interval."""
+    rg = compute_blocks(pg)
+    order = recognize_proper_interval(rg.quotient)
+    if order is None:
+        return None
+    return rg, order, canonical_sequence(rg.quotient, order)
+
+
 def test_block_sequence_golden(ex22):
     pg = probe_subgraph(ex22)
-    rg, order, bcs = block_sequence(pg)
+    rg, order, bcs = block_layer(pg)
     assert rg.blocks == ((1,), (2,), (3, 4), (5,), (6,), (7,), (8,))
     seq = bcs.seq
     assert seq in ((1, 2, 1, 3, 4, 2, 5, 3, 6, 4, 5, 7, 6, 7),
@@ -110,38 +119,12 @@ def test_block_sequence_golden(ex22):
 
 def test_block_sequence_complete_graph():
     pg = pg_of(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
-    rg, order, bcs = block_sequence(pg)
+    rg, order, bcs = block_layer(pg)
     assert bcs.seq == (1, 1)
 
 
 def test_block_sequence_not_proper():
-    assert block_sequence(pg_of(4, CLAW)) is None
-
-
-def test_expand_block_sequence(ex22):
-    pg = probe_subgraph(ex22)
-    rg, order, bcs = block_sequence(pg)
-    identity = {k: sorted(rg.blocks[k - 1]) for k in range(1, rg.t + 1)}
-    got = expand_block_sequence(rg, bcs, identity).seq
-    assert got in (EX22_STAIR, tuple(reversed(EX22_STAIR)))
-
-    swapped = dict(identity)
-    swapped[3] = [4, 3]
-    alt = expand_block_sequence(rg, bcs, swapped)
-    # still realizes the same adjacency, with 4 ahead of 3 both times
-    for u in range(1, 9):
-        for v in range(u + 1, 9):
-            touches = alt.L[v] < alt.R[u] and alt.L[u] < alt.R[v]
-            assert touches == (v in pg.adj[u])
-
-    with pytest.raises(ValueError):
-        expand_block_sequence(rg, bcs, {**identity, 3: [3, 5]})
-
-
-def test_expand_single_block_permutation():
-    pg = pg_of(2, [(1, 2)])
-    rg, order, bcs = block_sequence(pg)
-    assert expand_block_sequence(rg, bcs, {1: [2, 1]}).seq == (2, 1, 2, 1)
+    assert block_layer(pg_of(4, CLAW)) is None
 
 
 # -- properties ----------------------------------------------------------------
