@@ -559,15 +559,22 @@ class PQTree:
             t._root = None
             return t
 
-        def copy(node: _Node) -> _Node:
+        # preorder with an explicit stack, then copy it backwards so that
+        # every node's children are copied before the node itself
+        order = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            stack.extend(node.children())
+        copies: dict = {}
+        for node in reversed(order):
             if node.kind == "L":
-                lf = _Node("L", node.label)
-                t._leaf[node.label] = lf
-                return lf
-            kids = [copy(c) for c in node.children()]
-            return _make_p(kids) if node.kind == "P" else _make_q(kids)
-
-        t._root = copy(self._root)
+                copies[node] = t._leaf[node.label] = _Node("L", node.label)
+            else:
+                kids = [copies[c] for c in node.children()]
+                copies[node] = _make_p(kids) if node.kind == "P" else _make_q(kids)
+        t._root = copies[self._root]
         return t
 
     def serialize(self) -> str:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import islice, product
 
 from .graph import (
     ReducedGraph,
@@ -50,9 +49,6 @@ CASE3 = "CASE3"
 CASE4 = "CASE4"
 MARKER_PQ_INFEASIBLE = "MARKER_PQ_INFEASIBLE"
 FINAL_CHECK_FAIL = "FINAL_CHECK_FAIL"
-
-# Bound on branch exploration wherever a left/right choice is ambiguous.
-_CHOICE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -239,8 +235,9 @@ class _CompState:
         self.circ: list = []  # (w, ngb) wrap-capable sets on a complete component
         self.window_ws: list = []  # (w, nbrs) local, with a partial block
         self.boundary_ws: list = []  # (w, ngb-in-component) needing an end window
+        self.cut: tuple | None = None  # block order of a complete component
         self.vcs: CanonicalSequence | None = None
-        self.sides: dict = {}  # w -> feasible ends of the settled sequence
+        self.sides: dict = {}  # w -> the end of the settled sequence it eats
 
     def _flush(self, k: int, s, mark) -> bool:
         return self.trees[k].restrict(frozenset(s) | {mark})
@@ -350,9 +347,10 @@ class _CompState:
             return None
         # both ends admissible: either there is no partial block at all, or
         # one partial block delimits both ends and its flush direction is an
-        # honest left/right choice
+        # honest left/right choice, which resolve_circular makes for all the
+        # boundary sets of a complete component at once
         c = feas["L"][1]
-        if c is not None and c in self.trees:
+        if c is not None and c in self.trees and self.t > 1:
             self.deferred.append((w, c, frozenset(ngb[c])))
         return None
 
@@ -366,62 +364,54 @@ class _CompState:
         return None
 
     def resolve_circular(self):
-        """Wrap-capable neighbor sets on a complete component.
+        """Orient every nonprobe set of a complete component in one pass.
 
-        With no end constraints the classical anchor transform is exact:
-        replace any set containing the anchor by its complement and demand
-        plain consecutivity.  Once flushes have pinned the ends, search the
-        two linear readings per set instead, with a capped backtrack.
+        The component is one block with order σ and sequence σσ, so a local
+        window is a circular arc of σ, and a boundary set is a prefix or a
+        suffix of σ: the set or its complement U - s is a prefix.  Reversal
+        is free, so the first boundary set is read as a prefix; every later
+        one then nests with the chain of prefixes as s or as U - s, never as
+        both (else a prefix, s or U - s would be empty or U).  The prefixes
+        P_i, the differences P_max - P_i (so that all prefixes share one
+        end) and the local sets form one circular-ones instance, which the
+        anchor transform turns into plain consecutivity: replace every set
+        holding the anchor by its complement.  The frontier, read as a
+        circle, is cut at the end of P_min whose other neighbour lies
+        outside P_max.  Returns the first nonprobe whose set fails, or None.
         """
-        if not self.circ:
+        if self.t > 1 or not (self.circ or self.boundary_ws):
             return None
         k = self.border[0]
         members = self.rg.blocks[k - 1]
-        tree = self.trees[k]  # circ sets are partial, so the block has twins
+        tree = self.trees[k]  # the sets are partial, so the block has twins
         full = frozenset(members)
-        if not self.deferred and not self.boundary_ws:
-            anchor = members[0]
-            for w, s in self.circ:
-                lin = s if anchor not in s else full - s
-                if lin and not tree.restrict(lin):
-                    return w
-            return None
-        choices = [(w, s, full - s) for w, s in self.circ]
-        stack = [(tree, 0)]
-        visited = 0
-        stuck = None
-        while stack:
-            cur, i = stack.pop()
-            if i == len(choices):
-                self.trees[k] = cur
-                return None
-            visited += 1
-            if visited > _CHOICE_CAP:
-                for j in range(i, len(choices)):
-                    wj, sj, cj = choices[j]
-                    probe = cur.clone()
-                    if probe.restrict(sj):
-                        cur = probe
-                    elif not cur.restrict(cj):
-                        return wj
-                self.trees[k] = cur
-                return None
-            w, s, comp = choices[i]
-            nexts = []
-            probe = cur.clone()
-            if probe.restrict(s):
-                nexts.append((probe, i + 1))
-            probe = cur.clone()
-            if probe.restrict(comp):
-                nexts.append((probe, i + 1))
-            if not nexts and stuck is None:
-                stuck = w
-            stack.extend(reversed(nexts))
-        return stuck if stuck is not None else self.circ[0][0]
+        chain: list = []  # (w, prefix of σ), by size
+        for w, s in self.boundary_ws:
+            if chain and not _nests(s, chain[0][1]):
+                s = full - s
+            i = bisect_left(chain, len(s), key=lambda e: len(e[1]))
+            if not all(_nests(s, p) for _, p in chain[max(i - 1, 0):i + 1]):
+                return w
+            chain.insert(i, (w, s))
+        pmax = chain[-1][1] if chain else full
+        anchor = members[0]
+        for w, s in chain + [(w, pmax - p) for w, p in chain] + self.circ:
+            if not tree.restrict(s if anchor not in s else full - s):
+                return w
+        order = strip_markers(tree.frontier())
+        if chain:
+            pmin, n = chain[0][1], len(order)
+            i, step = next((i, d) for i, x in enumerate(order) if x in pmin
+                           for d in (1, -1) if order[(i - d) % n] not in pmax)
+            order = tuple(order[(i + step * j) % n] for j in range(n))
+        self.cut = order
+        return None
 
     # .. final intra-component search ..
 
     def _sigma(self) -> dict:
+        if self.cut is not None:
+            return {self.border[0]: self.cut}
         out = {}
         for k in self.border:
             tree = self.trees.get(k)
@@ -465,8 +455,8 @@ class _CompState:
             sides: dict = {}
             if ok:
                 for w, nbrs in self.boundary_ws:
-                    v = _vertex_sides(vcs, nbrs)
-                    if not v:
+                    v = _vertex_side(vcs, nbrs)
+                    if v is None:
                         ok = False
                         if witness is None:
                             witness = w
@@ -479,25 +469,27 @@ class _CompState:
         return witness
 
 
-def _vertex_sides(vcs: CanonicalSequence, nbrs) -> set:
-    """Which ends of the sequence carry an all-neighbor stretch covering nbrs."""
-    seq = vcs.seq
-    out = set()
-    seen = set()
-    for x in seq:
-        if x not in nbrs:
-            break
-        seen.add(x)
-    if seen == set(nbrs):
-        out.add("L")
-    seen = set()
-    for x in reversed(seq):
-        if x not in nbrs:
-            break
-        seen.add(x)
-    if seen == set(nbrs):
-        out.add("R")
-    return out
+def _vertex_side(vcs: CanonicalSequence, nbrs) -> str | None:
+    """The end of the sequence ("L" or "R") whose all-neighbor stretch
+    covers nbrs, or None.
+
+    nbrs misses some vertex of the component, so at most one end qualifies:
+    the last vertex of the sequence is last in L order, so a prefix that
+    reaches it has covered the whole component.
+    """
+    for side, seq in (("L", vcs.seq), ("R", reversed(vcs.seq))):
+        seen = set()
+        for x in seq:
+            if x not in nbrs:
+                break
+            seen.add(x)
+        if seen == nbrs:
+            return side
+    return None
+
+
+def _nests(a, b) -> bool:
+    return a <= b or b <= a
 
 
 # -- the pipeline ------------------------------------------------------------
@@ -590,17 +582,16 @@ def _arrange_components(states: dict, multi_ws: list):
     One consecutive-ones instance over {L, R} end markers per component:
     each marker pair stays together, and every cross-component nonprobe's
     marker set (both markers of fully-eaten components plus the eaten-end
-    marker of partially-eaten ones) must come out consecutive.  Components
-    answering both ends for some nonprobe are probed over a capped set of
-    combinations.  Returns [(component, flipped)] or a witness nonprobe.
+    marker of partially-eaten ones) must come out consecutive.  A partially
+    eaten component has exactly one eaten end, fixed by settle, so the
+    instance has no choices left.  Returns [(component, flipped)] or a
+    witness nonprobe.
     """
     if not multi_ws:
         return [(ci, False) for ci in states]
-    base = PQTree(tuple((side, ci) for ci in states for side in ("L", "R")))
+    tree = PQTree(tuple((side, ci) for ci in states for side in ("L", "R")))
     for ci in states:
-        base.restrict({("L", ci), ("R", ci)})
-    fixed: dict = {}
-    ambig: list = []
+        tree.restrict({("L", ci), ("R", ci)})
     for w, touched in multi_ws:
         tset = set()
         for ci, us in touched.items():
@@ -609,33 +600,16 @@ def _arrange_components(states: dict, multi_ws: list):
                 tset.add(("L", ci))
                 tset.add(("R", ci))
             else:
-                v = state.sides[w]
-                if len(v) == 1:
-                    tset.add((next(iter(v)), ci))
-                else:
-                    ambig.append((w, ci))
-        fixed[w] = tset
-    last = multi_ws[0][0] if multi_ws else 0
-    for combo in islice(product("LR", repeat=len(ambig)), _CHOICE_CAP):
-        extra: dict = {}
-        for (w, ci), side in zip(ambig, combo):
-            extra.setdefault(w, set()).add((side, ci))
-        tree = base.clone()
-        failed = None
-        for w, _ in multi_ws:
-            if not tree.restrict(fixed[w] | extra.get(w, set())):
-                failed = w
-                break
-        if failed is None:
-            layout = []
-            seen = set()
-            for side, ci in tree.frontier():
-                if ci not in seen:
-                    seen.add(ci)
-                    layout.append((ci, side == "R"))
-            return layout
-        last = failed
-    return last
+                tset.add((state.sides[w], ci))
+        if not tree.restrict(tset):
+            return w
+    layout = []
+    seen = set()
+    for side, ci in tree.frontier():
+        if ci not in seen:
+            seen.add(ci)
+            layout.append((ci, side == "R"))
+    return layout
 
 
 # -- certificates ------------------------------------------------------------

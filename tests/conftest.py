@@ -5,6 +5,10 @@ graph broke; nothing here is generated at import time except the graphs
 themselves.
 """
 
+import inspect
+import sys
+from contextlib import contextmanager
+
 import pytest
 
 from ptpig import tagged_graph
@@ -62,6 +66,17 @@ EX33_PROBE_STAIR = (1, 2, 1, 3, 4, 2, 3, 5, 4, 6, 5, 6)
 # not an interval graph once the nonprobe is untagged.
 C4_EDGES = [(1, 2), (2, 3), (1, 4), (3, 4)]
 C4_CERT = {1: (1, 3), 2: (2, 5), 3: (4, 6), 4: (3, 4)}
+
+
+@contextmanager
+def shallow_stack(frames: int):
+    """Allow only `frames` more stack frames than the caller has now."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.fixture(scope="session")

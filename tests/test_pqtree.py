@@ -13,6 +13,8 @@ from ptpig.pqtree import (
     strip_markers,
 )
 
+from .conftest import shallow_stack
+
 
 def brute_consecutive(universe, sets):
     """All permutations in which every set is consecutive."""
@@ -135,6 +137,21 @@ def test_orestrict_both_dead():
 def test_orestrict_rejects_member_pivot():
     with pytest.raises(ValueError):
         PQTree([1, 2, 3]).orestrict({1, 2}, 2, 3)
+
+
+def test_clone_of_a_deep_tree_needs_no_deep_recursion():
+    # prefix restricts nest one P-node per step: P(P(P(1 2) 3) 4) ...
+    n = 300
+    t = PQTree(range(1, n + 2))
+    for k in range(2, n + 1):
+        assert t.restrict(range(1, k + 1))
+    with shallow_stack(100):
+        copy = t.clone()
+        assert copy.frontier() == t.frontier()
+    before = t.serialize()
+    assert copy.serialize() == before
+    assert copy.restrict({n, n + 1}) and copy.serialize() != before
+    assert t.serialize() == before
 
 
 def test_oriented_goldens():

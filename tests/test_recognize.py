@@ -19,7 +19,7 @@ from ptpig import (
 )
 from ptpig.recognize import block_classes, block_window_candidates, long_ones_runs
 
-from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT
+from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack
 
 
 # -- window primitives ---------------------------------------------------------
@@ -198,8 +198,8 @@ def test_three_partial_blocks_reject():
 def item2_instance():
     """K2 plus K11 with eight nonprobes, and its planted certificate.
 
-    A yes-instance that the capped choice search rejects (ROADMAP, open
-    item 2).
+    A yes-instance on which a capped search over the reading of each
+    neighbor set gave up and rejected (FINAL_CHECK_FAIL n8).
     """
     cert = {1: (1, 3), 2: (2, 4)}
     cert.update({v: (v + 2, v + 13) for v in range(3, 14)})
@@ -221,10 +221,50 @@ def test_item2_planted_certificate_verifies():
     assert verify_certificate(g, cert) is None
 
 
-@pytest.mark.xfail(strict=True, reason="capped choice search rejects it (FINAL_CHECK_FAIL n8)")
 def test_item2_instance_accepted():
     g, _ = item2_instance()
-    assert recognize(g).accepted
+    res = recognize(g)
+    assert res.accepted
+    assert verify_certificate(g, res.certificate) is None
+
+
+def test_clique_component_with_repeated_boundary_sets():
+    # built from planted intervals: probe-probe edges where they intersect,
+    # probe-nonprobe edges where the nonprobe holds a probe endpoint; the
+    # four nonprobes that see exactly probe 4 on the K4 give a search over
+    # readings of each set more than 64 nodes
+    probes = [(1, 10), (2, 12), (3, 13), (7, 18), (21, 22)]
+    nonprobes = [(3, 11), (17, 19), (16, 20), (15, 20), (4, 8), (1, 6), (3, 9), (2, 5), (14, 23)]
+    iv = dict(enumerate(probes + nonprobes, start=1))
+    p = len(probes)
+    edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)
+             if max(iv[u][0], iv[v][0]) <= min(iv[u][1], iv[v][1])]
+    edges += [(u, w) for w in range(p + 1, len(iv) + 1) for u in range(1, p + 1)
+              if any(iv[w][0] <= x <= iv[w][1] for x in iv[u])]
+    assert len(edges) == 22
+    g = tagged_graph(p, len(nonprobes), edges)
+    assert verify_certificate(g, iv) is None
+    res = recognize(g)
+    assert res.accepted and oracle_recognize(g)
+    assert verify_certificate(g, res.certificate) is None
+
+
+def test_pinned_clique_needs_no_deep_recursion():
+    # K_m plus an isolated probe; nonprobes on {1..k} for k = 2..m-2 wrap
+    # on the clique, and one on {m, m+1} pins its seam
+    m = 300
+    edges = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+    w = m + 1
+    for k in range(2, m - 1):
+        w += 1
+        edges.extend((u, w) for u in range(1, k + 1))
+    w += 1
+    edges.extend([(m, w), (m + 1, w)])
+    g = tagged_graph(m + 1, w - m - 1, edges)
+    with shallow_stack(150):
+        res = recognize(g)
+    assert res.accepted
+    assert verify_certificate(g, res.certificate) is None
 
 
 # -- certificates --------------------------------------------------------------
