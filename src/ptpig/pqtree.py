@@ -156,6 +156,15 @@ def _q_orient_full_last(q: _Node, side: int) -> None:
     q.first, q.last = q.last, q.first
 
 
+def _preorder(root: _Node):
+    """Every node under root, parents first, children left to right."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
+
+
 class PQTree:
     """Mutable PQ-tree over distinct hashable labels."""
 
@@ -247,49 +256,36 @@ class PQTree:
         if size <= 1 or size == len(self._labels):
             return True
 
-        # count pertinent leaves under every ancestor, remembering each
-        # node's pertinent children
-        count: dict[_Node, int] = {}
-        pert_children: dict[_Node, list[_Node]] = {}
-        registered: set[int] = set()
-        # Stable leaf order: frozenset iteration follows hash order, which is
-        # randomized per process for str labels and would leak into layouts.
+        # Bubble up: each node joins its parent's list of pertinent children
+        # when first reached, and a walk stops at the first parent already
+        # reached, so only the first walk goes on to the root.  Stable leaf
+        # order: frozenset iteration follows hash order, which is randomized
+        # per process for str labels and would leak into layouts.
         leaves = [self._leaf[x] for x in sorted(sset, key=self._rank.__getitem__)]
-        for lf in leaves:
-            node = lf
-            while node is not None:
-                count[node] = count.get(node, 0) + 1
-                par = node.parent
-                if par is not None and id(node) not in registered:
-                    registered.add(id(node))
-                    pert_children.setdefault(par, []).append(node)
+        pert_children: dict[_Node, list[_Node]] = {}
+        for node in leaves:
+            while (par := node.parent) is not None:
+                if par in pert_children:
+                    pert_children[par].append(node)
+                    break
+                pert_children[par] = [node]
                 node = par
 
-        node = leaves[0]
-        while count[node] != size:
-            node = node.parent
+        # Children before parents: a node is ready once all its pertinent
+        # children are; the first to hold all of s is the pertinent root.
+        count = dict.fromkeys(leaves, 1)
+        waiting = {n: len(kids) for n, kids in pert_children.items()}
+        agenda = list(leaves)
+        for node in agenda:
+            if count[node] == size:
+                break
+            par = node.parent
+            count[par] = count.get(par, 0) + count[node]
+            waiting[par] -= 1
+            if not waiting[par]:
+                agenda.append(par)
         pert_root = node
-
-        depth: dict[_Node, int] = {}
-
-        def node_depth(n: _Node) -> int:
-            chain = []
-            while n is not None and n not in depth:
-                chain.append(n)
-                n = n.parent
-            d = depth[n] if n is not None else -1
-            for x in reversed(chain):
-                d += 1
-                depth[x] = d
-            return d
-
-        root_depth = node_depth(pert_root)
-        agenda = [
-            n
-            for n in count
-            if n.kind != "L" and node_depth(n) >= root_depth
-        ]
-        agenda.sort(key=lambda n: depth[n], reverse=True)
+        del agenda[: len(leaves)]
 
         labels: dict[_Node, object] = {lf: _FULL for lf in leaves}
         replaced: dict[_Node, _Node] = {}
@@ -504,33 +500,23 @@ class PQTree:
     def frontier(self) -> list:
         if self._root is None:
             return []
-        out = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.kind == "L":
-                out.append(node.label)
-            else:
-                stack.extend(reversed(node.children()))
-        return out
+        return [node.label for node in _preorder(self._root) if node.kind == "L"]
 
-    def _count_frontiers(self, node: _Node) -> int:
-        if node.kind == "L":
-            return 1
+    def _count_frontiers(self) -> int:
+        # independent choices: P-nodes permute children, Q-nodes reverse them
         total = 1
-        for c in node.children():
-            total *= self._count_frontiers(c)
-        if node.kind == "P":
-            total *= factorial(node.child_count)
-        elif node.child_count >= 2:
-            total *= 2
+        for node in _preorder(self._root):
+            if node.kind == "P":
+                total *= factorial(node.child_count)
+            elif node.kind == "Q" and node.child_count >= 2:
+                total *= 2
         return total
 
     def enumerate_frontiers(self, cap: int) -> list[tuple]:
         """Every admissible ordering; raises FrontierCapExceeded past cap."""
         if self._root is None:
             return [()]
-        if self._count_frontiers(self._root) > cap:
+        if self._count_frontiers() > cap:
             raise FrontierCapExceeded(f"more than {cap} admissible orderings")
 
         def expand(node: _Node) -> list[tuple]:
@@ -559,16 +545,10 @@ class PQTree:
             t._root = None
             return t
 
-        # preorder with an explicit stack, then copy it backwards so that
-        # every node's children are copied before the node itself
-        order = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            stack.extend(node.children())
+        # copy the preorder backwards, so that every node's children are
+        # copied before the node itself
         copies: dict = {}
-        for node in reversed(order):
+        for node in reversed(list(_preorder(self._root))):
             if node.kind == "L":
                 copies[node] = t._leaf[node.label] = _Node("L", node.label)
             else:
@@ -582,13 +562,21 @@ class PQTree:
         if self._root is None:
             return "()"
 
-        def render(node: _Node) -> str:
-            if node.kind == "L":
-                return str(node.label)
-            inner = " ".join(render(c) for c in node.children())
-            return f"{node.kind}({inner})"
-
-        return render(self._root)
+        # the stack holds nodes still to render and the text between them
+        out = []
+        stack = [self._root]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, _Node):
+                out.append(item)
+            elif item.kind == "L":
+                out.append(str(item.label))
+            else:
+                out.append(f"{item.kind}(")
+                stack.append(")")
+                for i, c in enumerate(reversed(item.children())):
+                    stack.extend((" ", c) if i else (c,))
+        return "".join(out)
 
 
 def _cross(kid_sets: list[list[tuple]]) -> list[tuple]:

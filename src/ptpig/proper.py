@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import ProbeGraph, connected_components
+from .graph import ComponentDecomposition, ProbeGraph, connected_components
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,11 @@ def recognize_proper_interval(g: ProbeGraph):
     component is a proper interval graph (Corneil, Discrete Applied Math.
     138, 2004), so checking the third sweep's ordering decides.
     """
-    comp = connected_components(g)
+    return _proper_order(g, connected_components(g))
+
+
+def _proper_order(g: ProbeGraph, comp: ComponentDecomposition):
+    """recognize_proper_interval for a caller that has g's components."""
     order: list[int] = []
     for vs in comp.components:
         if len(vs) == 1:

@@ -36,8 +36,8 @@ from .graph import (
 from .pqtree import MARK_LEFT, MARK_RIGHT, PQTree, strip_markers
 from .proper import (
     CanonicalSequence,
+    _proper_order,
     canonical_sequence,
-    recognize_proper_interval,
     sequence_from_iterable,
 )
 
@@ -501,25 +501,25 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     if bad is not None:
         return _reject(NONPROBE_EDGE, witness=bad[0], edge=bad)
     pg = probe_subgraph(g)
-    comps = connected_components(pg)
     rg = compute_blocks(pg)
+    # twins are adjacent and blocks are numbered by their smallest vertex, so
+    # the quotient's components are the probe graph's, in the same order
+    qc = connected_components(rg.quotient)
     # the quotient is proper interval iff the probe graph is: twins expand
     # into staggered copies of their block's interval
-    border = recognize_proper_interval(rg.quotient)
+    border = _proper_order(rg.quotient, qc)
     if border is None:
         return _reject(PROBE_NOT_PROPER)
     bcs = canonical_sequence(rg.quotient, border, validate=False)
-    # twins are adjacent, so a block lies inside one component, and the
-    # quotient's components come out in the probe graph's component order
     states: dict = {}
     lo = 0
-    for ci, vs in enumerate(comps.components, 1):
-        t = len({rg.block_of[v] for v in vs})
-        states[ci] = _CompState(rg, bcs, border[lo:lo + t], lo, len(vs))
-        lo += t
+    for ci, ks in enumerate(qc.components, 1):
+        size = sum(len(rg.blocks[k - 1]) for k in ks)
+        states[ci] = _CompState(rg, bcs, border[lo:lo + len(ks)], lo, size)
+        lo += len(ks)
     # a connected, twin-free probe part has one stair sequence up to
     # reversal; a nonprobe without a window there is reported as A1_FAIL
-    missing = A1_FAIL if comps.r == 1 and rg.t == g.p else B1_FAIL
+    missing = A1_FAIL if qc.r == 1 and rg.t == g.p else B1_FAIL
 
     local_ws = {ci: [] for ci in states}
     multi_ws = []
@@ -529,7 +529,7 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
             continue
         touched: dict = {}
         for u in nbrs:
-            touched.setdefault(comps.component_of[u], []).append(u)
+            touched.setdefault(qc.component_of[rg.block_of[u]], []).append(u)
         if len(touched) == 1:
             ci = next(iter(touched))
             local_ws[ci].append((w, frozenset(nbrs)))

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,10 +149,28 @@ def test_clone_of_a_deep_tree_needs_no_deep_recursion():
     with shallow_stack(100):
         copy = t.clone()
         assert copy.frontier() == t.frontier()
-    before = t.serialize()
-    assert copy.serialize() == before
+        before = t.serialize()
+        assert copy.serialize() == before
+        with pytest.raises(FrontierCapExceeded):
+            t.enumerate_frontiers(10)
     assert copy.restrict({n, n + 1}) and copy.serialize() != before
     assert t.serialize() == before
+
+
+def test_nested_prefix_restricts_take_linear_time():
+    # Σ|s| is about n²/2 and the tree grows n deep, so this is linear in
+    # Σ|s| only if each walk up stops at the first node already reached
+    n = 1000
+    t = PQTree(range(1, n + 2))
+    start = time.perf_counter()
+    for k in range(2, n + 2):
+        assert t.restrict(range(1, k + 1))
+    assert time.perf_counter() - start < 10
+    pos = {x: i for i, x in enumerate(t.frontier())}
+    lo = hi = pos[1]
+    for k in range(2, n + 2):
+        lo, hi = min(lo, pos[k]), max(hi, pos[k])
+        assert hi - lo == k - 1
 
 
 def test_oriented_goldens():
