@@ -14,6 +14,12 @@ class GraphFormatError(ValueError):
     """Tagged-graph text that cannot be parsed (bad header, range, self-loop)."""
 
 
+# Largest p + q accepted.  A graph allocates one adjacency set per vertex
+# before it reads any edge; at this bound the empty sets alone take about
+# 230 MB, so a one-line header cannot ask for many gigabytes.
+MAX_VERTICES = 1_000_000
+
+
 @dataclass(frozen=True)
 class TaggedGraph:
     """Recognition input.  adj is 1-based: adj[0] is unused and empty."""
@@ -84,6 +90,8 @@ def tagged_graph(p: int, q: int, edges) -> TaggedGraph:
     if p < 0 or q < 0:
         raise GraphFormatError("vertex counts must be non-negative")
     n = p + q
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     nbr: list[set[int]] = [set() for _ in range(n + 1)]
     count = 0
     for u, v in edges:
@@ -121,6 +129,8 @@ def parse_tagged_graph(text: str) -> TaggedGraph:
                 raise GraphFormatError(f"line {lineno}: non-integer counts") from None
             if p < 0 or q < 0:
                 raise GraphFormatError(f"line {lineno}: negative count")
+            if p + q > MAX_VERTICES:
+                raise GraphFormatError(f"line {lineno}: more than {MAX_VERTICES} vertices")
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")

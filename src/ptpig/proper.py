@@ -11,6 +11,8 @@ ordering; that check alone decides, with no PQ-tree fallback behind it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .graph import ComponentDecomposition, ProbeGraph, connected_components
 
@@ -42,28 +44,17 @@ def sequence_from_iterable(seq) -> CanonicalSequence:
     return CanonicalSequence(seq=seq, L=first, R=second)
 
 
-def _normalize_component_order(g: ProbeGraph, fr: list) -> list:
+def _normalize_component_order(fr: list, spans: list) -> list:
     """Deterministic representative among the equivalent orderings.
 
     Twins (equal closed neighborhoods) are interchangeable wherever they sit,
-    and the whole component may be read in either direction; sort each twin
-    run ascending and keep the lexicographically smaller direction.
+    and the whole component may be read in either direction.  In an umbrella
+    ordering the twins are the runs of equal closed-neighborhood spans; sort
+    each run ascending and keep the lexicographically smaller direction.
     """
-    key = {v: tuple(sorted((*g.adj[v], v))) for v in fr}
-
-    def runs_sorted(seq):
-        out: list[int] = []
-        i = 0
-        while i < len(seq):
-            j = i
-            while j < len(seq) and key[seq[j]] == key[seq[i]]:
-                j += 1
-            out.extend(sorted(seq[i:j]))
-            i = j
-        return out
-
-    fwd = runs_sorted(fr)
-    rev = runs_sorted(fr[::-1])
+    runs = [sorted(v for _, v in grp) for _, grp in groupby(zip(spans, fr), key=itemgetter(0))]
+    fwd = [v for run in runs for v in run]
+    rev = [v for run in reversed(runs) for v in run]
     return min(fwd, rev)
 
 
@@ -121,8 +112,11 @@ def _lbfs_sweep(adj, prev: list) -> list:
     return out
 
 
-def _umbrella_ok(g: ProbeGraph, order) -> bool:
+def _umbrella_spans(g: ProbeGraph, order) -> list | None:
+    """Each position's closed-neighborhood span (lo, hi), or None when some
+    closed neighborhood is not consecutive in order."""
     pos = {v: i for i, v in enumerate(order)}
+    spans = []
     for v in order:
         lo = hi = pos[v]
         for u in g.adj[v]:
@@ -132,8 +126,9 @@ def _umbrella_ok(g: ProbeGraph, order) -> bool:
             elif pu > hi:
                 hi = pu
         if hi - lo != len(g.adj[v]):
-            return False
-    return True
+            return None
+        spans.append((lo, hi))
+    return spans
 
 
 def recognize_proper_interval(g: ProbeGraph):
@@ -158,16 +153,17 @@ def _proper_order(g: ProbeGraph, comp: ComponentDecomposition):
         cand = list(vs)
         for _ in range(3):
             cand = _lbfs_sweep(g.adj, cand)
-        if not _umbrella_ok(g, cand):
+        spans = _umbrella_spans(g, cand)
+        if spans is None:
             return None
-        order.extend(_normalize_component_order(g, cand))
+        order.extend(_normalize_component_order(cand, spans))
     return tuple(order)
 
 
 def is_canonical_ordering(g: ProbeGraph, order) -> bool:
     if sorted(order) != list(range(1, g.n + 1)):
         return False
-    return _umbrella_ok(g, order)
+    return _umbrella_spans(g, order) is not None
 
 
 def canonical_sequence(g: ProbeGraph, order, validate: bool = True) -> CanonicalSequence:

@@ -68,56 +68,27 @@ def _reject(reason: str, witness=None, edge=None) -> RecognitionResult:
 # -- window primitives -------------------------------------------------------
 
 
-def long_ones_runs(bits, d: int):
-    """Maximal all-1 runs of length >= d, as 1-based (start, end) pairs."""
-    out = []
-    start = None
-    for i, x in enumerate(bits, 1):
-        if x:
-            if start is None:
-                start = i
-        elif start is not None:
-            if i - start >= d:
-                out.append((start, i - 1))
-            start = None
-    if start is not None and len(bits) + 1 - start >= d:
-        out.append((start, len(bits)))
-    return out
-
-
 def perfect_substring_bounds(cs: CanonicalSequence, nbrs):
     """Leftmost maximal all-neighbor stretch covering every neighbor, or None.
 
-    A qualifying stretch has length in [d, 2d], d = |nbrs|, and must contain
-    an occurrence of min(nbrs), so scanning the two windows of width 4d+1
-    centered on that vertex's occurrences is exhaustive.
+    The 2d positions of the d = |nbrs| neighbors split into runs of
+    consecutive positions, and these runs are exactly the maximal
+    all-neighbor stretches.  The first run that holds every neighbor is the
+    answer.  Cost: one sort of the 2d positions, O(d log d), and O(d) more.
     """
     d = len(nbrs)
     if d == 0:
         return None
     seq = cs.seq
-    total = len(seq)
-    first = min(nbrs)
-    best = None
-    seen_windows = set()
-    for anchor in (cs.L[first], cs.R[first]):
-        lo_w = max(1, anchor - 2 * d)
-        hi_w = min(total, anchor + 2 * d)
-        if (lo_w, hi_w) in seen_windows:
-            continue
-        seen_windows.add((lo_w, hi_w))
-        bits = [1 if seq[p - 1] in nbrs else 0 for p in range(lo_w, hi_w + 1)]
-        for s, e in long_ones_runs(bits, d):
-            lo, hi = lo_w + s - 1, lo_w + e - 1
-            if len({seq[p - 1] for p in range(lo, hi + 1)}) != d:
-                continue
-            while lo > 1 and seq[lo - 2] in nbrs:
-                lo -= 1
-            while hi < total and seq[hi] in nbrs:
-                hi += 1
-            if best is None or (lo, hi) < best:
-                best = (lo, hi)
-    return best
+    pos = sorted([cs.L[u] for u in nbrs] + [cs.R[u] for u in nbrs])
+    start = 0
+    for i in range(1, 2 * d + 1):
+        if i == 2 * d or pos[i] != pos[i - 1] + 1:
+            lo, hi = pos[start], pos[i - 1]
+            if i - start >= d and len(set(seq[lo - 1:hi])) == d:
+                return lo, hi
+            start = i
+    return None
 
 
 def check_perfect_substrings(g: TaggedGraph, cs: CanonicalSequence):
@@ -155,52 +126,36 @@ def block_window_candidates(bcs: CanonicalSequence, fw: dict):
 
     Qualifying substrings contain only block-neighbors (by f-value), cover
     every block-neighbor, and any *interior* partial block must be one of
-    the two end blocks recurring.  Since a window has length <= 2|fw| and
-    must contain min(fw), scanning around that block's occurrences with a
-    quadratic pass is exhaustive and still O(deg^2) per nonprobe.
+    the two end blocks k1, k2.  fw must name a partial block: a window over
+    whole blocks is a perfect substring of bcs.  Every partial block is then
+    an end block, so each window starts or ends at one of the at most four
+    occurrences of the partial blocks, and one scan out from each of them in
+    each direction finds every window: O(deg) per nonprobe.
     """
-    dd = len(fw)
-    if dd == 0:
-        return []
+    partials = [k for k, f in fw.items() if f == 2]
+    if len(partials) > 2:
+        return []  # at most two of them can be end blocks
     seq = bcs.seq
     total = len(seq)
-    first = min(fw)
-    out = []
-    emitted = set()
-    seen_windows = set()
-    for anchor in (bcs.L[first], bcs.R[first]):
-        lo_w = max(1, anchor - 2 * dd)
-        hi_w = min(total, anchor + 2 * dd)
-        if (lo_w, hi_w) in seen_windows:
-            continue
-        seen_windows.add((lo_w, hi_w))
-        width = hi_w - lo_w + 1
-        vals = [fw.get(seq[lo_w - 1 + i], 0) for i in range(width)]
-        for ai in range(width):
-            if vals[ai] == 0:
-                continue
-            ka = seq[lo_w - 1 + ai]
-            covered = {ka}
-            stray = None  # interior partial block other than ka, if any
-            for bi in range(ai, width):
-                if vals[bi] == 0:
-                    break
-                blk = seq[lo_w - 1 + bi]
-                if bi > ai:
-                    pv = vals[bi - 1]
-                    pb = seq[lo_w - 1 + bi - 1]
-                    if pv == 2 and pb != ka:
-                        if stray is None or stray == pb:
-                            stray = pb
-                        else:
+    out = set()
+    for k in partials:
+        for o in (bcs.L[k], bcs.R[k]):
+            for step in (1, -1):
+                covered = set()
+                stray = None  # interior partial block other than k, if any
+                e = o
+                while 1 <= e <= total and seq[e - 1] in fw:
+                    ke = seq[e - 1]
+                    covered.add(ke)
+                    if (stray is None or stray == ke) and len(covered) == len(fw):
+                        a, b = (o, e) if step == 1 else (e, o)
+                        out.add((seq[a - 1], seq[b - 1], a, b))
+                    if ke != k and fw[ke] == 2:  # interior from the next step on
+                        if stray not in (None, ke):
                             break  # two distinct interior partials: hopeless
-                covered.add(blk)
-                if (stray is None or stray == blk) and len(covered) == dd:
-                    item = (ka, blk, lo_w + ai, lo_w + bi)
-                    if item not in emitted:
-                        emitted.add(item)
-                        out.append(item)
-    return out
+                        stray = ke
+                    e += step
+    return sorted(out)
 
 
 # -- per-component layout ----------------------------------------------------
@@ -223,14 +178,7 @@ class _CompState:
         self.first = 2 * lo + 1
         self.last = 2 * (lo + self.t)
         self.size = size  # number of probes
-        self.trees: dict = {}
-        for k in border:
-            members = rg.blocks[k - 1]
-            if len(members) > 1:
-                tree = PQTree((*members, MARK_LEFT, MARK_RIGHT))
-                tree.restrict({*members, MARK_LEFT})
-                tree.restrict({*members, MARK_RIGHT})
-                self.trees[k] = tree
+        self.trees: dict = {}  # block -> its PQ-tree, built by _tree on first use
         self.deferred: list = []  # (w, block, ngb) either-direction flushes
         self.circ: list = []  # (w, ngb) wrap-capable sets on a complete component
         self.window_ws: list = []  # (w, nbrs) local, with a partial block
@@ -239,8 +187,19 @@ class _CompState:
         self.vcs: CanonicalSequence | None = None
         self.sides: dict = {}  # w -> the end of the settled sequence it eats
 
+    def _tree(self, k: int) -> PQTree:
+        """Block k's tree: its vertices between the two end markers."""
+        tree = self.trees.get(k)
+        if tree is None:
+            members = self.rg.blocks[k - 1]
+            tree = PQTree((*members, MARK_LEFT, MARK_RIGHT))
+            tree.restrict({*members, MARK_LEFT})
+            tree.restrict({*members, MARK_RIGHT})
+            self.trees[k] = tree
+        return tree
+
     def _flush(self, k: int, s, mark) -> bool:
-        return self.trees[k].restrict(frozenset(s) | {mark})
+        return self._tree(k).restrict(frozenset(s) | {mark})
 
     # .. in-component nonprobes ..
 
@@ -271,12 +230,12 @@ class _CompState:
             s = ngb[k]
             if len(fw) == 1:
                 # window sits inside a single occurrence of the block
-                return None if self.trees[k].restrict(s) else FINAL_CHECK_FAIL
+                return None if self._tree(k).restrict(s) else FINAL_CHECK_FAIL
             if any(k1 == k == k2 and a < b for (k1, k2, a, b) in pairs):
                 # window spans from one occurrence of k to the other, eating
                 # the complement from the middle
                 rest = set(self.rg.blocks[k - 1]) - s
-                return None if self.trees[k].restrict(rest) else FINAL_CHECK_FAIL
+                return None if self._tree(k).restrict(rest) else FINAL_CHECK_FAIL
             starts = any(k1 == k != k2 for (k1, k2, _, _) in pairs)
             ends = any(k2 == k != k1 for (k1, k2, _, _) in pairs)
             if starts and ends:
@@ -341,7 +300,7 @@ class _CompState:
         if len(sides) == 1:
             side = sides[0]
             c = feas[side][1]
-            if c is not None and c in self.trees:
+            if c is not None and len(self.rg.blocks[c - 1]) > 1:
                 if not self._flush(c, ngb[c], mark_of[side]):
                     return FINAL_CHECK_FAIL
             return None
@@ -350,7 +309,7 @@ class _CompState:
         # honest left/right choice, which resolve_circular makes for all the
         # boundary sets of a complete component at once
         c = feas["L"][1]
-        if c is not None and c in self.trees and self.t > 1:
+        if c is not None and len(self.rg.blocks[c - 1]) > 1 and self.t > 1:
             self.deferred.append((w, c, frozenset(ngb[c])))
         return None
 
@@ -359,7 +318,7 @@ class _CompState:
     def resolve_deferred(self):
         """Apply queued either-direction flushes; first stuck nonprobe or None."""
         for w, k, s in self.deferred:
-            if not self.trees[k].orestrict(s, MARK_LEFT, MARK_RIGHT):
+            if not self._tree(k).orestrict(s, MARK_LEFT, MARK_RIGHT):
                 return w
         return None
 
@@ -383,7 +342,7 @@ class _CompState:
             return None
         k = self.border[0]
         members = self.rg.blocks[k - 1]
-        tree = self.trees[k]  # the sets are partial, so the block has twins
+        tree = self._tree(k)  # the sets are partial, so the block has twins
         full = frozenset(members)
         chain: list = []  # (w, prefix of σ), by size
         for w, s in self.boundary_ws:
@@ -414,7 +373,7 @@ class _CompState:
             return {self.border[0]: self.cut}
         out = {}
         for k in self.border:
-            tree = self.trees.get(k)
+            tree = self.trees.get(k)  # an untouched tree reads the block in order
             out[k] = self.rg.blocks[k - 1] if tree is None else tuple(strip_markers(tree.frontier()))
         return out
 
@@ -431,9 +390,8 @@ class _CompState:
         sigma = self._sigma()
         t = self.t
         special: list = []
-        for pos in (1, 2, t - 1, t):
-            k = self.border[pos - 1] if 1 <= pos <= t else None
-            if k in self.trees and k not in special:
+        for k in (self.border[pos - 1] for pos in (1, 2, t - 1, t) if 1 <= pos <= t):
+            if len(self.rg.blocks[k - 1]) > 1 and k not in special:
                 special.append(k)
         witness = None
         for mask in range(1 << len(special)):

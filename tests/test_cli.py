@@ -45,6 +45,14 @@ def test_recognize_bad_header(tmp_path, capsys):
     assert main(["recognize", str(bad)]) == 2
 
 
+def test_recognize_hostile_header(tmp_path, capsys):
+    # one line asking for 10^8 vertices: refused before any allocation
+    big = tmp_path / "big.txt"
+    big.write_text("ptpig 100000000 0\n", encoding="utf-8")
+    assert main(["recognize", str(big)]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_certify_stdout_golden(tmp_path, capsys):
     path = write_graph(tmp_path, "a.txt", 8, 6, EX36_EDGES)
     assert main(["certify", path]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +14,7 @@ from ptpig import (
     two_stretch_filter,
     validate_nonprobe_independence,
 )
+from ptpig.graph import MAX_VERTICES
 
 from .conftest import EX33_EDGES, EX36_EDGES
 
@@ -57,6 +60,19 @@ def test_duplicate_edges_collapse():
 def test_negative_counts_rejected():
     with pytest.raises(GraphFormatError):
         tagged_graph(-1, 2, [])
+
+
+def test_vertex_limit_checked_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphFormatError, match="line 1"):
+            parse_tagged_graph("ptpig 100000000 0\n")
+        with pytest.raises(GraphFormatError):
+            tagged_graph(MAX_VERTICES, 1, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_roundtrip_on_fixtures(ex36, ex33):

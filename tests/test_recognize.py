@@ -17,19 +17,12 @@ from ptpig import (
     two_stretch_filter,
     verify_certificate,
 )
-from ptpig.recognize import block_classes, block_window_candidates, long_ones_runs
+from ptpig.recognize import block_classes, block_window_candidates
 
 from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack
 
 
 # -- window primitives ---------------------------------------------------------
-
-
-def test_long_ones_runs():
-    assert long_ones_runs([1, 1, 0, 1, 1, 1], 2) == [(1, 2), (4, 6)]
-    assert long_ones_runs([1, 1, 1], 3) == [(1, 3)]
-    assert long_ones_runs([0, 0, 0], 1) == []
-    assert long_ones_runs([], 1) == []
 
 
 def test_perfect_substring_bounds_goldens():
@@ -38,6 +31,34 @@ def test_perfect_substring_bounds_goldens():
     assert perfect_substring_bounds(cs, frozenset({2, 3, 4, 5, 6})) == (4, 10)
     assert perfect_substring_bounds(cs, frozenset(range(1, 9))) == (1, 16)
     assert perfect_substring_bounds(cs, frozenset()) is None
+
+
+@st.composite
+def doubled_sequences(draw, max_m=10):
+    """A sequence holding each of 1..m twice, and a nonempty subset of 1..m."""
+    m = draw(st.integers(1, max_m))
+    seq = draw(st.permutations([*range(1, m + 1)] * 2))
+    nbrs = draw(st.sets(st.integers(1, m), min_size=1))
+    return sequence_from_iterable(seq), frozenset(nbrs)
+
+
+def reference_perfect_substring(seq, nbrs):
+    """Leftmost maximal all-neighbor substring covering every neighbor."""
+    n = len(seq)
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            inside = seq[a - 1:b]
+            maximal = (a == 1 or seq[a - 2] not in nbrs) and (b == n or seq[b] not in nbrs)
+            if set(inside) == nbrs and maximal:
+                return a, b
+    return None
+
+
+@given(doubled_sequences())
+@settings(max_examples=300, deadline=None)
+def test_perfect_substring_bounds_matches_reference(case):
+    cs, nbrs = case
+    assert perfect_substring_bounds(cs, nbrs) == reference_perfect_substring(cs.seq, nbrs)
 
 
 def test_perfect_substring_absent(ex33):
@@ -71,9 +92,37 @@ def test_block_window_candidates():
     assert got == [(1, 3, 1, 4), (1, 3, 1, 6), (1, 3, 3, 6)]
     assert {(k1, k2) for k1, k2, _, _ in got} == {(1, 3)}
 
-    single = block_window_candidates(sequence_from_iterable((1, 1)), {1: 1})
+    single = block_window_candidates(sequence_from_iterable((1, 1)), {1: 2})
     assert single == [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2)]
     assert block_window_candidates(bcs, {}) == []
+
+
+def reference_block_windows(seq, fw):
+    """Every (k1, k2, a, b) meeting block_window_candidates' conditions."""
+    out = set()
+    n = len(seq)
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            inside = seq[a - 1:b]
+            k1, k2 = seq[a - 1], seq[b - 1]
+            if (
+                all(k in fw for k in inside)
+                and set(inside) == set(fw)
+                and all(fw[k] == 1 or k in (k1, k2) for k in inside[1:-1])
+            ):
+                out.add((k1, k2, a, b))
+    return out
+
+
+@given(doubled_sequences(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_window_candidates_match_reference(case, data):
+    bcs, blocks = case
+    partial = data.draw(st.sets(st.sampled_from(sorted(blocks)), min_size=1))
+    fw = {k: 2 if k in partial else 1 for k in blocks}
+    got = block_window_candidates(bcs, fw)
+    assert len(got) == len(set(got))
+    assert set(got) == reference_block_windows(bcs.seq, fw)
 
 
 # -- golden verdicts -----------------------------------------------------------
@@ -102,6 +151,23 @@ def test_twin_free_windows_take_linear_time():
     t0 = time.perf_counter()
     res = recognize(tagged_graph(n, 1, edges))
     assert res.accepted and time.perf_counter() - t0 < 10
+
+
+def test_partial_block_windows_take_linear_time():
+    # probes a = [1, 3.5] and b = [2, 4.5] are twins, v_i = [2i+1, 2i+4]
+    # form a path, and one nonprobe on [3.7, 2n+4.5] eats b but not a, and
+    # the whole path.  Scanning from every start of its stretch would take
+    # about 4n^2 steps; scanning out from the twin block's two occurrences
+    # takes O(n).
+    n = 8_000
+    w = n + 3
+    edges = [(1, 2), (1, 3), (2, 3), (2, w)]
+    edges += [(i + 2, i + 3) for i in range(1, n)] + [(i + 2, w) for i in range(1, n + 1)]
+    g = tagged_graph(n + 2, 1, edges)
+    t0 = time.perf_counter()
+    res = recognize(g)
+    assert res.accepted and time.perf_counter() - t0 < 10
+    assert verify_certificate(g, res.certificate) is None
 
 
 def test_rejects_claw_probe_part(g1):
