@@ -138,17 +138,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.cert is not None and args.perturb:
-        print("error: --cert requires perturb=0", file=sys.stderr)
+    try:  # GenSpec raises ValueError on bad counts or densities
+        if args.cert is not None and args.perturb:
+            raise ValueError("--cert requires perturb=0")
+        spec = GenSpec(probes=args.probes, nonprobes=args.nonprobes, seed=args.seed,
+                       overlap=args.overlap, span=args.span, perturb=args.perturb)
+    except ValueError as exc:  # a usage error, not an internal one
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    spec = GenSpec(
-        probes=args.probes,
-        nonprobes=args.nonprobes,
-        seed=args.seed,
-        overlap=args.overlap,
-        span=args.span,
-        perturb=args.perturb,
-    )
     g, cert = generate(spec)
     _emit(serialize_tagged_graph(g), args.out)
     if args.cert is not None:
@@ -270,7 +267,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, GraphFormatError, ValueError) as exc:
+    except (OSError, GraphFormatError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -4,8 +4,7 @@ A canonical ordering places every closed neighborhood consecutively; the
 stair sequence lists each vertex twice so that intervals [first, second]
 realize the graph.  Both exist exactly for proper interval graphs, and for
 connected reduced graphs the sequence is unique up to reversal.  Recognition
-is three lexicographic-BFS sweeps per component and one check of the last
-ordering; that check alone decides, with no PQ-tree fallback behind it.
+checks one ordering per component; that check alone decides.
 """
 
 from __future__ import annotations
@@ -58,57 +57,46 @@ def _normalize_component_order(fr: list, spans: list) -> list:
     return min(fwd, rev)
 
 
-class _Cell:
-    """Bucket of still-unplaced vertices, kept in preference order."""
+def _last_layer(adj, root, seen: bytearray) -> list:
+    """The farthest BFS layer from root; marks the component in seen."""
+    seen[root] = 1
+    layer, nxt = [], [root]
+    while nxt:
+        layer, nxt = nxt, []
+        for v in layer:
+            for u in adj[v]:
+                if not seen[u]:
+                    seen[u] = 1
+                    nxt.append(u)
+    return layer
 
-    __slots__ = ("items", "prev", "nxt")
 
-    def __init__(self, items: dict):
-        self.items = items
-        self.prev = None
-        self.nxt = None
-
-
-def _lbfs_sweep(adj, prev: list) -> list:
-    """One lexicographic-BFS pass, ties broken toward the back of prev.
-
-    Buckets are refined in place; within a bucket vertices stay in
-    descending preference, so next(iter(...)) is always the tie-break winner.
-    """
-    nbr_pref: dict = {v: [] for v in prev}
-    for w in reversed(prev):
-        for u in adj[w]:
-            nbr_pref[u].append(w)
-    first = _Cell(dict.fromkeys(reversed(prev)))
-    where = {v: first for v in prev}
+def _end_bfs_order(adj, end, dist: list, key: list, m: int) -> list:
+    """BFS from end, each layer sorted by key = fwd - m * back (m > any degree),
+    counting neighbors in the layers after and before in the same scan."""
+    dist[end] = 0
+    layer = [end]
     out: list = []
-    while first is not None:
-        items = first.items
-        v = next(iter(items))
-        del items[v], where[v]
-        if not items:
-            first = first.nxt
-            if first is not None:
-                first.prev = None
-        out.append(v)
-        moved: dict = {}
-        for u in nbr_pref[v]:
-            c = where.get(u)
-            if c is not None:
-                moved.setdefault(id(c), (c, []))[1].append(u)
-        for c, lst in moved.values():
-            if len(lst) == len(c.items):
-                continue  # whole bucket preferred: nothing to separate
-            nc = _Cell(dict.fromkeys(lst))
-            for u in lst:
-                del c.items[u]
-                where[u] = nc
-            nc.prev, nc.nxt = c.prev, c
-            if c.prev is None:
-                first = nc
-            else:
-                c.prev.nxt = nc
-            c.prev = nc
+    d = 0
+    while layer:
+        d += 1
+        nxt = []
+        for v in layer:
+            fwd = 0
+            for u in adj[v]:
+                du = dist[u]
+                if du < 0:
+                    dist[u] = d
+                    key[u] = -m
+                    nxt.append(u)
+                    fwd += 1
+                elif du == d:
+                    key[u] -= m
+                    fwd += 1
+            key[v] += fwd
+        layer.sort(key=key.__getitem__)
+        out.extend(layer)
+        layer = nxt
     return out
 
 
@@ -134,25 +122,39 @@ def _umbrella_spans(g: ProbeGraph, order) -> list | None:
 def recognize_proper_interval(g: ProbeGraph):
     """A vertex ordering with all closed neighborhoods consecutive, or None.
 
-    Components are handled independently and concatenated in index order.
-    Per component, an LBFS sweep followed by two LBFS+ sweeps yields an
-    ordering with every closed neighborhood consecutive exactly when the
-    component is a proper interval graph (Corneil, Discrete Applied Math.
-    138, 2004), so checking the third sweep's ordering decides.
+    Components are ordered independently, each by two plain BFS passes and a
+    sort, and concatenated in index order.  Let v1..vn be an umbrella
+    ordering: every N[vi] is an interval [l(i), r(i)], l and r nondecreasing.
+    1. BFS distances from any x never decrease moving away from x along the
+       ordering, so the last layer is a clique prefix [1, a] (where N[vi] =
+       [1, r(i)]), a clique suffix [b, n] (where N[vi] = [l(i), n]), or both:
+       a minimum-degree vertex of it is v1, vn or a twin of one, an end.
+    2. From an end every layer is a clique and a run of the ordering.  In
+       layer k >= 1 the count of neighbors in layer k - 1 fixes l and the
+       count in layer k + 1 fixes r, so sorting by (k, -back, fwd) gives the
+       umbrella ordering up to the order of twins.
+    That ordering is unique up to reversal and twins (Roberts 1969; Deng,
+    Hell and Huang, SIAM J. Comput. 25, 1996), so the normalized result does
+    not depend on the start or on ties.  On any other graph the umbrella
+    check, which alone decides, rejects whatever the sort gives.
     """
     return _proper_order(g, connected_components(g))
 
 
 def _proper_order(g: ProbeGraph, comp: ComponentDecomposition):
     """recognize_proper_interval for a caller that has g's components."""
+    adj = g.adj
+    m = g.n + 1
+    seen = bytearray(m)
+    dist = [-1] * m
+    key = [0] * m
     order: list[int] = []
     for vs in comp.components:
         if len(vs) == 1:
             order.append(vs[0])
             continue
-        cand = list(vs)
-        for _ in range(3):
-            cand = _lbfs_sweep(g.adj, cand)
+        end = min(_last_layer(adj, vs[0], seen), key=lambda v: len(adj[v]))
+        cand = _end_bfs_order(adj, end, dist, key, m)
         spans = _umbrella_spans(g, cand)
         if spans is None:
             return None

@@ -156,6 +156,19 @@ def test_gen_cert_needs_unperturbed(tmp_path, capsys):
     assert main(["gen", "5", "2", "--perturb", "1", "--cert", str(tmp_path / "c.txt")]) == 2
 
 
+def test_gen_bad_counts_exit_2(capsys):
+    assert main(["gen", "-1", "0"]) == 2
+    assert capsys.readouterr().err == "error: counts must be non-negative\n"
+    assert main(["gen", "3", "1", "--overlap", "1.5"]) == 2
+
+
+def test_recognize_undecodable_file(tmp_path, capsys):
+    bad = tmp_path / "bin.txt"
+    bad.write_bytes(b"ptpig 2 0\n\xff\xfe\n")
+    assert main(["recognize", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bench_single_size(capsys):
     assert main(["bench", "--sizes", "400", "--seed", "1"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -186,3 +199,16 @@ def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["recognize", path]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["internal error: RecursionError: maximum recursion depth exceeded"]
+
+
+def test_internal_value_error_exits_3(tmp_path, capsys, monkeypatch):
+    # sequence_from_iterable and PQTree raise ValueError on broken
+    # invariants; that is a fault of the program, not bad input
+    def boom(g):
+        raise ValueError("every element must occur exactly twice")
+
+    monkeypatch.setattr("ptpig.cli.recognize", boom)
+    path = write_graph(tmp_path, "a.txt", 8, 6, EX36_EDGES)
+    assert main(["recognize", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: ValueError: every element must occur exactly twice"]

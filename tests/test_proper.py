@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,11 +16,19 @@ from ptpig import (
     sequence_from_iterable,
     tagged_graph,
 )
+from ptpig.graph import ProbeGraph
 from ptpig.oracle import enumerate_canonical_orderings
+from ptpig.proper import _last_layer, _normalize_component_order, _umbrella_spans
 
-from .conftest import EX22_STAIR, EX33_PROBE_STAIR
+from .conftest import EX22_STAIR, EX33_PROBE_STAIR, shallow_stack
 
 CLAW = [(1, 2), (1, 3), (1, 4)]
+C4 = [(1, 2), (2, 3), (3, 4), (1, 4)]
+C5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+# triangle 1 2 3; the net hangs a pendant on each corner, the tent puts a
+# vertex on each side, adjacent to that side's two corners
+NET = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (3, 6)]
+TENT = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (2, 5), (3, 5), (1, 6), (3, 6)]
 
 
 def pg_of(n, edges):
@@ -36,7 +47,39 @@ def test_recognize_claw_fails():
 
 
 def test_recognize_cycle_fails():
-    assert recognize_proper_interval(pg_of(4, [(1, 2), (2, 3), (3, 4), (1, 4)])) is None
+    assert recognize_proper_interval(pg_of(4, C4)) is None
+    assert recognize_proper_interval(pg_of(5, C5)) is None
+
+
+def test_recognize_net_and_tent_fail():
+    for edges in (NET, TENT):
+        assert recognize_proper_interval(pg_of(6, edges)) is None
+        # also as an induced piece of a larger component
+        assert recognize_proper_interval(pg_of(8, edges + [(6, 7), (7, 8)])) is None
+
+
+def test_first_bfs_reaches_both_ends_at_once():
+    # umbrella order 3 2 1 4 5 6 7: a path 3-2-1 on the left, cliques
+    # {1,4,5}, {4,5,6}, {5,6,7} on the right.  The first BFS starts at the
+    # lowest-numbered vertex, 1, in the middle; its last layer {3, 6, 7}
+    # holds the left end (degree 1), the right end 7 (degree 2) and 6,
+    # which is no end (degree 3).
+    pg = pg_of(7, [(1, 2), (2, 3), (1, 4), (1, 5), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)])
+    assert sorted(_last_layer(pg.adj, 1, bytearray(8))) == [3, 6, 7]
+    order = recognize_proper_interval(pg)
+    assert order is not None and is_canonical_ordering(pg, order)
+    assert list(order) == [3, 2, 1, 4, 5, 6, 7]
+
+
+def test_end_is_min_degree_of_a_one_sided_last_layer():
+    # umbrella order 1..5 with spans [1,3], [1,4], [1,5], [2,5], [3,5]:
+    # from 1 the last layer is the clique {4, 5}.  Only 5, of smaller
+    # degree, is an end; starting the second BFS at 4 breaks the order.
+    pg = pg_of(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
+    assert sorted(_last_layer(pg.adj, 1, bytearray(6))) == [4, 5]
+    order = recognize_proper_interval(pg)
+    assert order is not None and is_canonical_ordering(pg, order)
+    assert list(order) == [1, 2, 3, 4, 5]
 
 
 def test_recognize_single_vertex():
@@ -206,3 +249,69 @@ def test_connected_reduced_sequence_unique_up_to_reversal(pg):
     if len(seqs) == 2:
         a, b = seqs
         assert tuple(reversed(a)) == b
+
+
+# -- large planted layouts -------------------------------------------------------
+
+
+def unit_layout(rng, n, comps):
+    """A random unit-interval graph on about n vertices with `comps`
+    components, relabelled at random, and its planted left-endpoint order.
+
+    Interval i is [x_i, x_i + 1]; a repeated x makes a twin and a gap wider
+    than 1 ends a component.
+    """
+    xs = []
+    x = 0.0
+    for _ in range(comps):
+        for _ in range(max(1, n // comps)):
+            if not xs or xs[-1] != x or rng.random() > 0.25:
+                x += rng.random() * 0.9
+            xs.append(x)
+        x += 1.5
+    label = list(range(1, len(xs) + 1))
+    rng.shuffle(label)
+    edges = []
+    for i, xi in enumerate(xs):
+        j = i + 1
+        while j < len(xs) and xs[j] - xi <= 1:
+            edges.append((label[i], label[j]))
+            j += 1
+    return pg_of(len(xs), edges), label
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_large_unit_layouts_order_as_planted(seed):
+    rng = random.Random(seed)
+    pg, planted = unit_layout(rng, rng.randint(500, 3000), rng.randint(1, 6))
+    order = recognize_proper_interval(pg)
+    assert order is not None and is_canonical_ordering(pg, order)
+    rank = {v: i for i, v in enumerate(planted)}
+    at = 0
+    for comp in connected_components(pg).components:
+        fr = sorted(comp, key=rank.get)
+        assert list(order[at:at + len(comp)]) == _normalize_component_order(fr, _umbrella_spans(pg, fr))
+        at += len(comp)
+
+
+def test_proper_order_takes_linear_time():
+    # vertex i sits at 0.4 i, so N[i] = [i-2, i+2]: twin-free, connected,
+    # diameter n/2, with the labels shuffled so that the first BFS starts
+    # mid-path.  Two BFS passes and a sort per layer are linear; nothing
+    # may recurse.
+    n = 200_000
+    label = list(range(1, n + 1))
+    random.Random(5).shuffle(label)
+    nbrs = [[] for _ in range(n + 1)]
+    for i in range(n - 1):
+        for j in (i + 1, i + 2):
+            if j < n:
+                nbrs[label[i]].append(label[j])
+                nbrs[label[j]].append(label[i])
+    pg = ProbeGraph(n=n, adj=tuple(tuple(sorted(a)) for a in nbrs))
+    with shallow_stack(60):
+        t0 = time.perf_counter()
+        order = recognize_proper_interval(pg)
+        elapsed = time.perf_counter() - t0
+    assert elapsed < 10
+    assert list(order) == min(label, label[::-1])
