@@ -20,7 +20,7 @@ from .graph import (
     validate_nonprobe_independence,
 )
 from .oracle import OracleBudget, OracleBudgetExceeded, oracle_recognize
-from .pqtree import PQTree, oriented_consecutive_ones
+from .pqtree import PQTree
 from .proper import (
     CanonicalSequence,
     canonical_sequence,
@@ -59,7 +59,6 @@ __all__ = [
     "interval_rep_from_sequence",
     "is_canonical_ordering",
     "oracle_recognize",
-    "oriented_consecutive_ones",
     "parse_tagged_graph",
     "perfect_substring_bounds",
     "probe_subgraph",

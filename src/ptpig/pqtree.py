@@ -2,17 +2,21 @@
 
 A tree's frontier set is all leaf orders reachable by permuting children of
 P-nodes and reversing children of Q-nodes.  ``restrict`` narrows that set to
-the orders where a given subset is consecutive (classic template reduction);
-``orestrict`` and ``oriented_consecutive_ones`` add end-flush variants using
+the orders where a given subset is consecutive, by the templates of Booth
+and Lueker (JCSS 13, 1976): one template serves every pertinent P-node, root
+or not, and adds new children at the full end of a partial Q-node, so no
+Q-node is ever reversed.  ``orestrict`` adds the end-flush variant, using
 two reserved marker leaves pinned to the ends.
 
-A failed ``restrict`` leaves the tree partially rewritten.  Callers either
-abandon the tree (rejection paths) or probe on a clone (``orestrict`` does).
+A successful ``restrict`` costs O(|s| + depth), plus the length of the
+shorter partial child spliced into the longer at a P-node root and of each
+partial Q-node dissolved into its Q-node parent.  A failed ``restrict``
+leaves the tree partially rewritten.  Callers either abandon the tree
+(rejection paths) or probe on a clone (``orestrict`` does).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
@@ -24,21 +28,6 @@ _FULL = "F"
 
 class FrontierCapExceeded(RuntimeError):
     """enumerate_frontiers would produce more orderings than the cap."""
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """A subset plus orientation: 0 consecutive, -1/+1 consecutive and
-    flushed to the left/right end, 2 flushed to either end."""
-
-    members: frozenset
-    orient: int
-
-    def __post_init__(self):
-        if self.orient not in (-1, 0, 1, 2):
-            raise ValueError(f"bad orientation {self.orient}")
-        if not self.members:
-            raise ValueError("empty restriction set")
 
 
 class _Node:
@@ -121,39 +110,24 @@ def _p_add(parent: _Node, child: _Node) -> None:
     child.parent = parent
 
 
-def _q_append(parent: _Node, child: _Node) -> None:
+def _q_attach(parent: _Node, child: _Node, right) -> None:
+    """Add child at the right end of Q-node parent, or at its left end."""
     child.parent = parent
-    child.lsib = parent.last
-    child.rsib = None
-    if parent.last is None:
-        parent.first = child
-    else:
-        parent.last.rsib = child
-    parent.last = child
-    parent.child_count += 1
-
-
-def _q_prepend(parent: _Node, child: _Node) -> None:
-    child.parent = parent
-    child.rsib = parent.first
-    child.lsib = None
-    if parent.first is None:
+    if right:
+        child.lsib, child.rsib = parent.last, None
+        if parent.last is None:
+            parent.first = child
+        else:
+            parent.last.rsib = child
         parent.last = child
     else:
-        parent.first.lsib = child
-    parent.first = child
+        child.lsib, child.rsib = None, parent.first
+        if parent.first is None:
+            parent.last = child
+        else:
+            parent.first.lsib = child
+        parent.first = child
     parent.child_count += 1
-
-
-def _q_orient_full_last(q: _Node, side: int) -> None:
-    """Reverse q's child list in place when its full end is not last."""
-    if side == 1:
-        return
-    c = q.first
-    while c is not None:
-        c.lsib, c.rsib = c.rsib, c.lsib
-        c = c.lsib
-    q.first, q.last = q.last, q.first
 
 
 def _preorder(root: _Node):
@@ -306,98 +280,52 @@ class PQTree:
                 if not partials and len(fulls) == node.child_count:
                     labels[node] = _FULL  # wholly pertinent subtree
                     continue
-                if not is_root:
-                    if len(partials) > 1:
-                        return False
-                    if not partials:
-                        # split into a transient 2-child Q: empties | fulls
-                        for f in fulls:
-                            _p_remove(node, f)
-                        fgrp = _group(fulls)
-                        par = node.parent
-                        if node.child_count == 1:
-                            egrp = next(iter(node.pchildren))
-                            _p_remove(node, egrp)
-                        else:
-                            egrp = node
-                        q = _Node("Q")
-                        self._replace_child(par, node, q)
-                        for k in (egrp, fgrp):
-                            k.parent = q
-                        egrp.lsib = None
-                        egrp.rsib = fgrp
-                        fgrp.lsib = egrp
-                        fgrp.rsib = None
-                        q.first = egrp
-                        q.last = fgrp
-                        q.child_count = 2
-                        labels[q] = ("P", 1)
-                        replaced[node] = q
-                        pseudos.append(q)
-                        continue
-                    # one partial child absorbs the groups
-                    c = partials[0]
-                    _, side = labels[c]
-                    for f in fulls:
-                        _p_remove(node, f)
-                    _p_remove(node, c)
-                    _q_orient_full_last(c, side)
-                    if fulls:
-                        _q_append(c, _group(fulls))
-                    par = node.parent
-                    if node.child_count == 0:
-                        egrp = None
-                    elif node.child_count == 1:
-                        egrp = next(iter(node.pchildren))
-                        _p_remove(node, egrp)
-                    else:
-                        egrp = node
-                    self._replace_child(par, node, c)
-                    if egrp is not None:
-                        _q_prepend(c, egrp)
-                    labels[c] = ("P", 1)
-                    replaced[node] = c
-                    continue
-                # pertinent root, P kind
-                if len(partials) > 2:
+                if len(partials) > 1 + is_root:
                     return False
-                if not partials:
-                    if len(fulls) >= 2:
-                        for f in fulls:
-                            _p_remove(node, f)
-                        _p_add(node, _make_p(fulls))
-                    continue
-                if len(partials) == 1:
+                # the longer partial Q absorbs the rest at its full end, so
+                # only the shorter one is walked; with none, a transient Q
+                for f in fulls:
+                    _p_remove(node, f)
+                if len(partials) == 2 and partials[1].child_count > partials[0].child_count:
+                    partials.reverse()
+                if partials:
                     c = partials[0]
-                    _, side = labels[c]
-                    _q_orient_full_last(c, side)
-                    for f in fulls:
-                        _p_remove(node, f)
-                    if fulls:
-                        _q_append(c, _group(fulls))
+                    side = labels[c][1]
+                else:
+                    c = _Node("Q")
+                    side = 1
+                    pseudos.append(c)
+                if fulls:
+                    _q_attach(c, _group(fulls), side)
+                if len(partials) == 2:
+                    c2 = partials[1]
+                    _p_remove(node, c2)
+                    kids = c2.children()
+                    if labels[c2][1]:  # full end first
+                        kids.reverse()
+                    for k in kids:
+                        _q_attach(c, k, side)
+                if is_root:
+                    if c.parent is None:
+                        _p_add(node, c)
                     if node.child_count == 1:
                         _p_remove(node, c)
                         self._replace_child(node.parent, node, c)
                     continue
-                c1, c2 = partials
-                _, side1 = labels[c1]
-                _, side2 = labels[c2]
-                _q_orient_full_last(c1, side1)
-                for f in fulls:
-                    _p_remove(node, f)
-                _p_remove(node, c2)
-                if fulls:
-                    _q_append(c1, _group(fulls))
-                # attach c2's children full-end first
-                _q_orient_full_last(c2, side2)
-                kids = c2.children()
-                kids.reverse()
-                for k in kids:
-                    _q_append(c1, k)
-                c2.parent = None
-                if node.child_count == 1:
-                    _p_remove(node, c1)
-                    self._replace_child(node.parent, node, c1)
+                if partials:
+                    _p_remove(node, c)
+                if node.child_count == 0:
+                    egrp = None
+                elif node.child_count == 1:
+                    egrp = next(iter(node.pchildren))
+                    _p_remove(node, egrp)
+                else:
+                    egrp = node
+                self._replace_child(node.parent, node, c)
+                if egrp is not None:
+                    _q_attach(c, egrp, not side)
+                labels[c] = ("P", side)
+                replaced[node] = c
                 continue
 
             # Q-node: pertinent children must form one contiguous run
@@ -462,11 +390,14 @@ class PQTree:
                 cp = run[0]
                 self._q_dissolve(node, cp, True, labels[cp][1])
 
-        # transient 2-child Q-nodes that survived become P-nodes
+        # transient Q-nodes that survived with two children become P-nodes;
+        # one child is the root's group of fulls, which stands for itself
         for q in pseudos:
             if q.parent is None and q is not self._root:
                 continue
-            if q.kind == "Q" and q.child_count == 2:
+            if q.child_count == 1:
+                self._replace_child(q.parent, q, q.first)
+            elif q.child_count == 2:
                 kids = q.children()
                 q.kind = "P"
                 q.first = q.last = None
@@ -584,46 +515,6 @@ def _cross(kid_sets: list[list[tuple]]) -> list[tuple]:
     for ks in kid_sets:
         acc = [a + k for a in acc for k in ks]
     return acc
-
-
-def oriented_consecutive_ones(universe, rs) -> PQTree | None:
-    """Solve a batch of oriented consecutiveness restrictions.
-
-    Returns a tree over universe plus the two end markers (pinned to the
-    ends), or None when unsatisfiable.  All either-oriented restrictions
-    must come after the rest; greedy resolution is only exact under that
-    ordering.
-    """
-    elems = list(universe)
-    if MARK_LEFT in elems or MARK_RIGHT in elems:
-        raise ValueError("end markers are reserved labels")
-    seen_either = False
-    for r in rs:
-        if r.orient == 2:
-            seen_either = True
-        elif seen_either:
-            raise ValueError("either-oriented restrictions must come last")
-        if not r.members <= set(elems):
-            raise ValueError("restriction outside universe")
-
-    tree = PQTree(elems + [MARK_LEFT, MARK_RIGHT])
-    base = frozenset(elems)
-    if not tree.restrict(base | {MARK_LEFT}):
-        return None
-    if not tree.restrict(base | {MARK_RIGHT}):
-        return None
-    for r in rs:
-        if r.orient == 0:
-            ok = tree.restrict(r.members)
-        elif r.orient == -1:
-            ok = tree.restrict(r.members | {MARK_LEFT})
-        elif r.orient == 1:
-            ok = tree.restrict(r.members | {MARK_RIGHT})
-        else:
-            ok = tree.orestrict(r.members, MARK_LEFT, MARK_RIGHT)
-        if not ok:
-            return None
-    return tree
 
 
 def strip_markers(order) -> tuple:

@@ -481,10 +481,13 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
 
     local_ws = {ci: [] for ci in states}
     multi_ws = []
+    # a twin of an earlier nonprobe repeats its constraints: no-op restricts
+    seen_nbrs = set()
     for w in range(g.p + 1, g.n + 1):
         nbrs = g.adj[w]
-        if not nbrs:
+        if not nbrs or nbrs in seen_nbrs:
             continue
+        seen_nbrs.add(nbrs)
         touched: dict = {}
         for u in nbrs:
             touched.setdefault(qc.component_of[rg.block_of[u]], []).append(u)

@@ -1,26 +1,77 @@
 import itertools
 import time
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptpig import PQTree, oriented_consecutive_ones
+from ptpig import PQTree
 from ptpig.oracle import brute_oriented_consecutive_ones
-from ptpig.pqtree import (
-    MARK_LEFT,
-    MARK_RIGHT,
-    FrontierCapExceeded,
-    Restriction,
-    strip_markers,
-)
+from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, FrontierCapExceeded, strip_markers
 
 from .conftest import shallow_stack
 
 
-def brute_consecutive(universe, sets):
-    """All permutations in which every set is consecutive."""
+@dataclass(frozen=True)
+class Restriction:
+    """A subset plus orientation: 0 consecutive, -1/+1 consecutive and
+    flushed to the left/right end, 2 flushed to either end."""
+
+    members: frozenset
+    orient: int
+
+    def __post_init__(self):
+        if self.orient not in (-1, 0, 1, 2):
+            raise ValueError(f"bad orientation {self.orient}")
+        if not self.members:
+            raise ValueError("empty restriction set")
+
+
+def oriented_consecutive_ones(universe, rs) -> PQTree | None:
+    """Solve a batch of oriented consecutiveness restrictions.
+
+    Returns a tree over universe plus the two end markers (pinned to the
+    ends), or None when unsatisfiable.  All either-oriented restrictions
+    must come after the rest; greedy resolution is only exact under that
+    ordering.
+    """
+    elems = list(universe)
+    if MARK_LEFT in elems or MARK_RIGHT in elems:
+        raise ValueError("end markers are reserved labels")
+    seen_either = False
+    for r in rs:
+        if r.orient == 2:
+            seen_either = True
+        elif seen_either:
+            raise ValueError("either-oriented restrictions must come last")
+        if not r.members <= set(elems):
+            raise ValueError("restriction outside universe")
+
+    tree = PQTree(elems + [MARK_LEFT, MARK_RIGHT])
+    base = frozenset(elems)
+    if not tree.restrict(base | {MARK_LEFT}):
+        return None
+    if not tree.restrict(base | {MARK_RIGHT}):
+        return None
+    for r in rs:
+        if r.orient == 0:
+            ok = tree.restrict(r.members)
+        elif r.orient == -1:
+            ok = tree.restrict(r.members | {MARK_LEFT})
+        elif r.orient == 1:
+            ok = tree.restrict(r.members | {MARK_RIGHT})
+        else:
+            ok = tree.orestrict(r.members, MARK_LEFT, MARK_RIGHT)
+        if not ok:
+            return None
+    return tree
+
+
+def brute_consecutive(universe, sets, perms=None):
+    """All permutations (of universe, or only those in perms) in which every
+    set is consecutive."""
     out = set()
-    for perm in itertools.permutations(universe):
+    for perm in itertools.permutations(universe) if perms is None else perms:
         pos = {v: i for i, v in enumerate(perm)}
         ok = True
         for s in sets:
@@ -93,6 +144,27 @@ def test_serialize_goldens():
     t.restrict({2, 3})
     assert t.serialize() == "P(4 Q(1 2 3))"
     assert frontier_set(t) == {(1, 2, 3, 4), (3, 2, 1, 4), (4, 1, 2, 3), (4, 3, 2, 1)}
+
+
+def test_partial_q_grows_at_its_full_end():
+    # each new child goes in at the full end of a partial Q-node, whichever
+    # end that is, so the Q-node keeps the way it reads
+    cases = [
+        # non-root P-node whose partial Q(1 2 3) is full on the left
+        ([1, 2, 3, 4, 5, 6], [{1, 2}, {2, 3}, {1, 2, 3, 4}, {1, 4, 5}], "P(6 Q(5 4 1 2 3))"),
+        # root P-node with one partial Q(1 2 3), full on the left
+        ([1, 2, 3, 4, 5], [{1, 2}, {2, 3}, {1, 4}], "P(5 Q(4 1 2 3))"),
+        # root P-node with two partials: the second, Q(4 5 6 7), is longer
+        # and takes in the shorter one
+        (list(range(1, 9)), [{1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}, {1, 7}],
+         "P(8 Q(4 5 6 7 1 2 3))"),
+    ]
+    for universe, sets, shape in cases:
+        t = PQTree(universe)
+        for s in sets:
+            assert t.restrict(s)
+        assert t.serialize() == shape
+        assert frontier_set(t) == brute_consecutive(universe, sets)
 
 
 def test_frontier_cap():
@@ -199,13 +271,13 @@ def test_strip_markers_normalizes_direction():
 
 # -- equivalence against brute force ------------------------------------------
 
-label_universe = st.integers(3, 6).map(lambda n: list(range(1, n + 1)))
+label_universe = st.integers(3, 7).map(lambda n: list(range(1, n + 1)))
 
 
 @st.composite
 def restriction_sequences(draw):
     universe = draw(label_universe)
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 7))
     sets = [
         frozenset(draw(st.sets(st.sampled_from(universe), min_size=2, max_size=len(universe))))
         for _ in range(k)
@@ -218,15 +290,13 @@ def restriction_sequences(draw):
 def test_restrict_matches_brute(case):
     universe, sets = case
     t = PQTree(universe)
-    feasible = True
+    expect = None
     for s in sets:
-        if not t.restrict(s):
-            feasible = False
+        feasible = t.restrict(s)
+        expect = brute_consecutive(universe, [s], expect)
+        if not feasible:
+            assert expect == set()
             break
-    expect = brute_consecutive(universe, sets)
-    if not feasible:
-        assert expect == set()
-    else:
         assert frontier_set(t, 50000) == expect
 
 

@@ -170,6 +170,46 @@ def test_partial_block_windows_take_linear_time():
     assert verify_certificate(g, res.certificate) is None
 
 
+def _accepts_within_10s(g):
+    t0 = time.perf_counter()
+    res = recognize(g)
+    assert res.accepted and time.perf_counter() - t0 < 10
+    assert verify_certificate(g, res.certificate) is None
+
+
+def test_middle_out_arrangement_takes_linear_time():
+    # r isolated probes; nonprobe j sees probes i_j and i_j + 1, with i_j
+    # going out from r/2 on alternating sides, so the arrangement tree's one
+    # Q-node grows at both ends.  Reversing it whenever its full end is on
+    # the left costs Θ(r²).
+    r = 48_000
+    mid = r // 2
+    starts = [mid] + [i for k in range(1, mid) for i in (mid - k, mid + k)]
+    edges = [(u, r + j) for j, i in enumerate(starts, 1) for u in (i, i + 1)]
+    _accepts_within_10s(tagged_graph(r, r - 1, edges))
+
+
+def test_right_to_left_pairs_take_linear_time():
+    # components {2c - 1, 2c}; nonprobe j sees probes 2c and 2c + 1 for
+    # c = r - j, so each new pair joins the arrangement's Q-node at its full
+    # end on the left, and the longer partial must take in the shorter one
+    r = 16_000
+    edges = [(2 * c - 1, 2 * c) for c in range(1, r + 1)]
+    edges += [(u, 2 * r + j) for j in range(1, r) for u in (2 * (r - j), 2 * (r - j) + 1)]
+    _accepts_within_10s(tagged_graph(2 * r, r - 1, edges))
+
+
+def test_twin_nonprobes_take_linear_time():
+    # twin block K = {1..b}, x adjacent to K, y adjacent to x, and b²/4
+    # nonprobes on {1, x}: each one restricts the b - 1 complement of its
+    # neighbours in K, so every twin after the first must be skipped
+    b = 600
+    x, y, q = b + 1, b + 2, b * b // 4
+    edges = [(u, v) for u in range(1, x) for v in range(u + 1, x + 1)] + [(x, y)]
+    edges += [(u, y + j) for j in range(1, q + 1) for u in (1, x)]
+    _accepts_within_10s(tagged_graph(y, q, edges))
+
+
 def test_rejects_claw_probe_part(g1):
     res = recognize(g1)
     assert not res.accepted and res.reason == "PROBE_NOT_PROPER"
