@@ -5,29 +5,25 @@ P-nodes and reversing children of Q-nodes.  ``restrict`` narrows that set to
 the orders where a given subset is consecutive, by the templates of Booth
 and Lueker (JCSS 13, 1976): one template serves every pertinent P-node, root
 or not, and adds new children at the full end of a partial Q-node, so no
-Q-node is ever reversed.  ``orestrict`` adds the end-flush variant, using
-two reserved marker leaves pinned to the ends.
+Q-node is ever reversed.  Two reserved marker leaves, pinned to the ends,
+let a plain ``restrict`` flush a set to one end or, with its complement, to
+either end.
 
 A successful ``restrict`` costs O(|s| + depth), plus the length of the
 shorter partial child spliced into the longer at a P-node root and of each
 partial Q-node dissolved into its Q-node parent.  A failed ``restrict``
-leaves the tree partially rewritten.  Callers either abandon the tree
-(rejection paths) or probe on a clone (``orestrict`` does).
+leaves the tree partially rewritten, and recognition never retries after
+one: it rejects.  ``orestrict`` and ``clone`` have no caller in
+recognition; they stay only because the benchmark's tracer wraps them by
+name.
 """
 
 from __future__ import annotations
-
-from itertools import permutations
-from math import factorial
 
 MARK_LEFT = "⊢"
 MARK_RIGHT = "⊣"
 
 _FULL = "F"
-
-
-class FrontierCapExceeded(RuntimeError):
-    """enumerate_frontiers would produce more orderings than the cap."""
 
 
 class _Node:
@@ -146,7 +142,6 @@ class PQTree:
         labels = list(universe)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in universe")
-        self._universe = tuple(labels)
         self._labels = frozenset(labels)
         self._rank = {x: i for i, x in enumerate(labels)}
         self._leaf: dict = {}
@@ -159,10 +154,6 @@ class PQTree:
             self._root = self._leaf[labels[0]]
         else:
             self._root = _make_p([self._leaf[x] for x in labels])
-
-    @property
-    def universe(self):
-        return self._universe
 
     # -- structural edits ------------------------------------------------
 
@@ -414,7 +405,10 @@ class PQTree:
 
         Probes the first branch on a clone so a failed probe cannot corrupt
         this tree; adopts the clone on success.  Returns 1 if the a-branch
-        was taken, 2 for the b-branch, 0 if neither is feasible.
+        was taken, 2 for the b-branch, 0 if neither is feasible.  Recognition
+        does not call it: an either-end flush there is ``restrict(s)`` and
+        ``restrict(U - s)``.  It stays while the benchmark's tracer wraps it
+        by name, and goes with that tracer.
         """
         sset = frozenset(s)
         if a in sset or b in sset:
@@ -433,42 +427,10 @@ class PQTree:
             return []
         return [node.label for node in _preorder(self._root) if node.kind == "L"]
 
-    def _count_frontiers(self) -> int:
-        # independent choices: P-nodes permute children, Q-nodes reverse them
-        total = 1
-        for node in _preorder(self._root):
-            if node.kind == "P":
-                total *= factorial(node.child_count)
-            elif node.kind == "Q" and node.child_count >= 2:
-                total *= 2
-        return total
-
-    def enumerate_frontiers(self, cap: int) -> list[tuple]:
-        """Every admissible ordering; raises FrontierCapExceeded past cap."""
-        if self._root is None:
-            return [()]
-        if self._count_frontiers() > cap:
-            raise FrontierCapExceeded(f"more than {cap} admissible orderings")
-
-        def expand(node: _Node) -> list[tuple]:
-            if node.kind == "L":
-                return [(node.label,)]
-            kid_sets = [expand(c) for c in node.children()]
-            out = []
-            if node.kind == "P":
-                for order in permutations(range(len(kid_sets))):
-                    out.extend(_cross([kid_sets[i] for i in order]))
-            else:
-                out.extend(_cross(kid_sets))
-                if node.child_count >= 2:
-                    out.extend(_cross(list(reversed(kid_sets))))
-            return out
-
-        return expand(self._root)
-
     def clone(self) -> "PQTree":
+        """An independent copy.  Only ``orestrict`` calls it; it stays while
+        the benchmark's tracer wraps it by name, and goes with that tracer."""
         t = PQTree.__new__(PQTree)
-        t._universe = self._universe
         t._labels = self._labels
         t._rank = self._rank
         t._leaf = {}
@@ -508,13 +470,6 @@ class PQTree:
                 for i, c in enumerate(reversed(item.children())):
                     stack.extend((" ", c) if i else (c,))
         return "".join(out)
-
-
-def _cross(kid_sets: list[list[tuple]]) -> list[tuple]:
-    acc: list[tuple] = [()]
-    for ks in kid_sets:
-        acc = [a + k for a in acc for k in ks]
-    return acc
 
 
 def strip_markers(order) -> tuple:

@@ -179,7 +179,7 @@ class _CompState:
         self.last = 2 * (lo + self.t)
         self.size = size  # number of probes
         self.trees: dict = {}  # block -> its PQ-tree, built by _tree on first use
-        self.deferred: list = []  # (w, block, ngb) either-direction flushes
+        self.deferred: list = []  # (w, block, ngb) either-end flushes
         self.circ: list = []  # (w, ngb) wrap-capable sets on a complete component
         self.window_ws: list = []  # (w, nbrs) local, with a partial block
         self.boundary_ws: list = []  # (w, ngb-in-component) needing an end window
@@ -269,56 +269,44 @@ class _CompState:
         partials = sorted(k for k in fw if fw[k] == 2)
         if len(partials) >= 2:
             return CASE4
-        feas = {}
+        # past the eaten blocks at an end, c is the only partial allowed here
         seq = self.bcs.seq
-        z = self.first
-        while fw.get(seq[z - 1], 0) == 1:
-            z += 1
-        f = fw.get(seq[z - 1], 0)
-        if f == 0:
-            feas["L"] = (not partials and all(self.bcs.L[k] <= z - 1 for k in fw), None)
-        else:
-            c = seq[z - 1]
-            ok = set(partials) <= {c} and all(k == c or self.bcs.L[k] <= z - 1 for k in fw)
-            feas["L"] = (ok, c)
-        z = self.last
-        while fw.get(seq[z - 1], 0) == 1:
-            z -= 1
-        f = fw.get(seq[z - 1], 0)
-        if f == 0:
-            feas["R"] = (not partials and all(self.bcs.R[k] >= z + 1 for k in fw), None)
-        else:
-            c = seq[z - 1]
-            ok = set(partials) <= {c} and all(k == c or self.bcs.R[k] >= z + 1 for k in fw)
-            feas["R"] = (ok, c)
-
-        sides = [s for s in ("L", "R") if feas[s][0]]
-        if not sides:
+        ends = []  # (marker, c) for each end this nonprobe can eat
+        for mark, z, step, pos in ((MARK_LEFT, self.first, 1, self.bcs.L),
+                                   (MARK_RIGHT, self.last, -1, self.bcs.R)):
+            while fw.get(seq[z - 1], 0) == 1:
+                z += step
+            c = seq[z - 1] if seq[z - 1] in fw else None
+            if set(partials) <= {c} and all(k == c or (pos[k] - z) * step < 0 for k in fw):
+                ends.append((mark, c))
+        if not ends:
             return FINAL_CHECK_FAIL
         self.boundary_ws.append((w, frozenset(nbrs)))
-        mark_of = {"L": MARK_LEFT, "R": MARK_RIGHT}
-        if len(sides) == 1:
-            side = sides[0]
-            c = feas[side][1]
-            if c is not None and len(self.rg.blocks[c - 1]) > 1:
-                if not self._flush(c, ngb[c], mark_of[side]):
-                    return FINAL_CHECK_FAIL
+        mark, c = ends[0]
+        if c is None or len(self.rg.blocks[c - 1]) == 1:
             return None
-        # both ends admissible: either there is no partial block at all, or
-        # one partial block delimits both ends and its flush direction is an
-        # honest left/right choice, which resolve_circular makes for all the
-        # boundary sets of a complete component at once
-        c = feas["L"][1]
-        if c is not None and len(self.rg.blocks[c - 1]) > 1 and self.t > 1:
+        if len(ends) == 1:
+            return None if self._flush(c, ngb[c], mark) else FINAL_CHECK_FAIL
+        # both ends admissible: c delimits both, and its flush direction is a
+        # real choice; resolve_circular makes it for all the boundary sets of
+        # a complete component at once
+        if self.t > 1:
             self.deferred.append((w, c, frozenset(ngb[c])))
         return None
 
     # .. choice resolution ..
 
     def resolve_deferred(self):
-        """Apply queued either-direction flushes; first stuck nonprobe or None."""
+        """Apply queued either-end flushes; first stuck nonprobe or None.
+
+        For ∅ ≠ s ⊊ U, s is a prefix or a suffix of the block's order σ iff s
+        and U − s are both consecutive in σ; the markers pin σ between the
+        tree's ends, so two plain restricts state each flush exactly, and the
+        queue's order only picks which failure is reported.
+        """
         for w, k, s in self.deferred:
-            if not self._tree(k).orestrict(s, MARK_LEFT, MARK_RIGHT):
+            tree = self._tree(k)
+            if not (tree.restrict(s) and tree.restrict(set(self.rg.blocks[k - 1]) - s)):
                 return w
         return None
 
@@ -342,7 +330,7 @@ class _CompState:
             return None
         k = self.border[0]
         members = self.rg.blocks[k - 1]
-        tree = self._tree(k)  # the sets are partial, so the block has twins
+        tree = PQTree(members)  # a circle has no ends: no markers
         full = frozenset(members)
         chain: list = []  # (w, prefix of σ), by size
         for w, s in self.boundary_ws:
@@ -357,7 +345,7 @@ class _CompState:
         for w, s in chain + [(w, pmax - p) for w, p in chain] + self.circ:
             if not tree.restrict(s if anchor not in s else full - s):
                 return w
-        order = strip_markers(tree.frontier())
+        order = tuple(tree.frontier())
         if chain:
             pmin, n = chain[0][1], len(order)
             i, step = next((i, d) for i, x in enumerate(order) if x in pmin
@@ -613,16 +601,18 @@ def verify_certificate(g: TaggedGraph, cert: dict):
     """Independent check of an interval certificate against the graph.
 
     Returns None when valid, else (kind, u, v) for the first violation:
+    a missing or inverted interval, an interval for no vertex of g,
     nonprobe independence, probe-probe adjacency vs intersection, tagged
     adjacency vs endpoint containment, and probe properness (equal
     intervals are tolerated, strict containment is not).
     """
     for v in range(1, g.n + 1):
         iv = cert.get(v)
-        if iv is None:
+        if iv is None or iv[0] > iv[1]:
             return ("missing-interval", v, v)
-        if iv[0] > iv[1]:
-            return ("missing-interval", v, v)
+    if len(cert) != g.n:  # every vertex is present, so some key is not one
+        v = next(v for v in sorted(cert) if v not in range(1, g.n + 1))
+        return ("unknown-vertex", v, v)
     bad = validate_nonprobe_independence(g)
     if bad is not None:
         return ("independence", bad[0], bad[1])

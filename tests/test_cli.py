@@ -99,6 +99,14 @@ def test_verify_tampered(tmp_path, capsys):
     assert capsys.readouterr().out == "INVALID containment 1 2\n"
 
 
+def test_verify_unknown_vertex(tmp_path, capsys):
+    path = write_graph(tmp_path, "a.txt", 8, 6, EX36_EDGES)
+    cert = tmp_path / "extra.txt"
+    cert.write_text(TABLE_CERT_TEXT + "99 5 6\n")
+    assert main(["verify", path, str(cert)]) == 1
+    assert capsys.readouterr().out == "INVALID unknown-vertex 99 99\n"
+
+
 def test_verify_duplicate_cert_line(tmp_path, capsys):
     path = write_graph(tmp_path, "k2.txt", 2, 0, [(1, 2)])
     cert = tmp_path / "dup.txt"

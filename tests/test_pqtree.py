@@ -1,13 +1,14 @@
 import itertools
 import time
 from dataclasses import dataclass
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptpig import PQTree
 from ptpig.oracle import brute_oriented_consecutive_ones
-from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, FrontierCapExceeded, strip_markers
+from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, _preorder, strip_markers
 
 from .conftest import shallow_stack
 
@@ -31,19 +32,14 @@ def oriented_consecutive_ones(universe, rs) -> PQTree | None:
     """Solve a batch of oriented consecutiveness restrictions.
 
     Returns a tree over universe plus the two end markers (pinned to the
-    ends), or None when unsatisfiable.  All either-oriented restrictions
-    must come after the rest; greedy resolution is only exact under that
-    ordering.
+    ends), or None when unsatisfiable.  A set s flushed to either end is
+    applied the way recognition applies it, as s and universe - s, in any
+    order among the rest.
     """
     elems = list(universe)
     if MARK_LEFT in elems or MARK_RIGHT in elems:
         raise ValueError("end markers are reserved labels")
-    seen_either = False
     for r in rs:
-        if r.orient == 2:
-            seen_either = True
-        elif seen_either:
-            raise ValueError("either-oriented restrictions must come last")
         if not r.members <= set(elems):
             raise ValueError("restriction outside universe")
 
@@ -61,7 +57,7 @@ def oriented_consecutive_ones(universe, rs) -> PQTree | None:
         elif r.orient == 1:
             ok = tree.restrict(r.members | {MARK_RIGHT})
         else:
-            ok = tree.orestrict(r.members, MARK_LEFT, MARK_RIGHT)
+            ok = tree.restrict(r.members) and tree.restrict(base - r.members)
         if not ok:
             return None
     return tree
@@ -84,18 +80,63 @@ def brute_consecutive(universe, sets, perms=None):
     return out
 
 
+class FrontierCapExceeded(RuntimeError):
+    """enumerate_frontiers would produce more orderings than the cap."""
+
+
+def _cross(kid_sets: list[list[tuple]]) -> list[tuple]:
+    acc: list[tuple] = [()]
+    for ks in kid_sets:
+        acc = [a + k for a in acc for k in ks]
+    return acc
+
+
+def _count_frontiers(root) -> int:
+    # independent choices: P-nodes permute children, Q-nodes reverse them
+    total = 1
+    for node in _preorder(root):
+        if node.kind == "P":
+            total *= factorial(node.child_count)
+        elif node.kind == "Q" and node.child_count >= 2:
+            total *= 2
+    return total
+
+
+def enumerate_frontiers(tree, cap: int) -> list[tuple]:
+    """Every admissible ordering of tree; raises FrontierCapExceeded past cap."""
+    if tree._root is None:
+        return [()]
+    if _count_frontiers(tree._root) > cap:
+        raise FrontierCapExceeded(f"more than {cap} admissible orderings")
+
+    def expand(node) -> list[tuple]:
+        if node.kind == "L":
+            return [(node.label,)]
+        kid_sets = [expand(c) for c in node.children()]
+        out = []
+        if node.kind == "P":
+            for order in itertools.permutations(range(len(kid_sets))):
+                out.extend(_cross([kid_sets[i] for i in order]))
+        else:
+            out.extend(_cross(kid_sets))
+            if node.child_count >= 2:
+                out.extend(_cross(list(reversed(kid_sets))))
+        return out
+
+    return expand(tree._root)
+
+
 def frontier_set(tree, cap=6000):
-    return set(tree.enumerate_frontiers(cap))
+    return set(enumerate_frontiers(tree, cap))
 
 
 def oc1_set(universe, pairs):
     """Admissible orderings of oriented_consecutive_ones, markers stripped."""
     rs = [Restriction(frozenset(s), o) for s, o in pairs]
-    rs.sort(key=lambda r: r.orient == 2)
     tree = oriented_consecutive_ones(universe, rs)
     if tree is None:
         return set()
-    return {strip_markers(f) for f in tree.enumerate_frontiers(50000)}
+    return {strip_markers(f) for f in enumerate_frontiers(tree, 50000)}
 
 
 # -- golden values ------------------------------------------------------------
@@ -169,7 +210,7 @@ def test_partial_q_grows_at_its_full_end():
 
 def test_frontier_cap():
     with pytest.raises(FrontierCapExceeded):
-        PQTree([1, 2, 3, 4]).enumerate_frontiers(10)
+        enumerate_frontiers(PQTree([1, 2, 3, 4]), 10)
 
 
 def test_frontier_satisfies_restrictions():
@@ -224,7 +265,7 @@ def test_clone_of_a_deep_tree_needs_no_deep_recursion():
         before = t.serialize()
         assert copy.serialize() == before
         with pytest.raises(FrontierCapExceeded):
-            t.enumerate_frontiers(10)
+            enumerate_frontiers(t, 10)
     assert copy.restrict({n, n + 1}) and copy.serialize() != before
     assert t.serialize() == before
 
@@ -251,12 +292,6 @@ def test_oriented_goldens():
         (1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1),
     }
     assert oc1_set([1, 2], [({1}, -1), ({1}, 1), ({2}, -1)]) == set()
-
-
-def test_oriented_requires_either_last():
-    rs = [Restriction(frozenset({1}), 2), Restriction(frozenset({2}), -1)]
-    with pytest.raises(ValueError):
-        oriented_consecutive_ones([1, 2, 3], rs)
 
 
 def test_oriented_reserves_marker_labels():
@@ -316,8 +351,8 @@ def test_restrict_is_monotone(case):
 
 @st.composite
 def oriented_instances(draw):
-    universe = draw(st.integers(2, 5).map(lambda n: list(range(1, n + 1))))
-    k = draw(st.integers(1, 3))
+    universe = draw(st.integers(2, 6).map(lambda n: list(range(1, n + 1))))
+    k = draw(st.integers(1, 4))
     pairs = []
     for _ in range(k):
         s = frozenset(draw(st.sets(st.sampled_from(universe), min_size=1, max_size=len(universe))))

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptpig import (
+    GenSpec,
+    PQTree,
     build_certificate,
     check_perfect_substrings,
     compute_blocks,
     connected_components,
+    generate,
     oracle_recognize,
     perfect_substring_bounds,
     probe_subgraph,
@@ -17,7 +20,7 @@ from ptpig import (
     two_stretch_filter,
     verify_certificate,
 )
-from ptpig.recognize import block_classes, block_window_candidates
+from ptpig.recognize import _CompState, block_classes, block_window_candidates
 
 from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack
 
@@ -208,6 +211,39 @@ def test_twin_nonprobes_take_linear_time():
     edges = [(u, v) for u in range(1, x) for v in range(u + 1, x + 1)] + [(x, y)]
     edges += [(u, y + j) for j in range(1, q + 1) for u in (1, x)]
     _accepts_within_10s(tagged_graph(y, q, edges))
+
+
+def test_either_end_flushes_never_clone(monkeypatch):
+    # blocks {1, 4}, {2, 5} and {3}; nonprobe 6 sees {4, 5}, which may read
+    # forwards or backwards across the two blocks: two deferred flushes, and
+    # settle must reverse a block
+    def cloned(*args, **kwargs):
+        raise AssertionError("cloned")
+
+    monkeypatch.setattr(PQTree, "clone", cloned)
+    monkeypatch.setattr(PQTree, "orestrict", cloned)
+    g = tagged_graph(5, 1, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5),
+                            (3, 4), (4, 5), (4, 6), (5, 6)])
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+
+    # twin-heavy instances, some with deferred flushes: every planted one
+    # is accepted, and every accepted one certified
+    resolve = _CompState.resolve_deferred
+    flushed = []
+
+    def counted(self):
+        flushed.append(bool(self.deferred))
+        return resolve(self)
+
+    monkeypatch.setattr(_CompState, "resolve_deferred", counted)
+    for seed in range(300):
+        g, planted = generate(GenSpec(5 + seed % 20, 4, seed=seed, overlap=0.95, span=0.3,
+                                      perturb=int(seed % 3 == 2)))
+        res = recognize(g)
+        assert res.accepted or planted is None
+        assert not res.accepted or verify_certificate(g, res.certificate) is None
+    assert sum(flushed) >= 50
 
 
 def test_rejects_claw_probe_part(g1):
@@ -405,6 +441,14 @@ def test_verify_missing_or_inverted(ex36):
     flipped = dict(TABLE_CERT)
     flipped[2] = (7, 2)
     assert verify_certificate(ex36, flipped) == ("missing-interval", 2, 2)
+
+
+def test_verify_rejects_unknown_vertices(ex36):
+    extra = dict(TABLE_CERT)
+    extra[99] = (5, 6)
+    assert verify_certificate(ex36, extra) == ("unknown-vertex", 99, 99)
+    extra[0] = (1, 1)
+    assert verify_certificate(ex36, extra) == ("unknown-vertex", 0, 0)
 
 
 def test_verify_probe_adjacency_both_ways():
