@@ -24,8 +24,6 @@ from .pqtree import PQTree
 from .proper import (
     CanonicalSequence,
     canonical_sequence,
-    interval_rep_from_sequence,
-    is_canonical_ordering,
     recognize_proper_interval,
     sequence_from_iterable,
 )
@@ -56,8 +54,6 @@ __all__ = [
     "compute_blocks",
     "connected_components",
     "generate",
-    "interval_rep_from_sequence",
-    "is_canonical_ordering",
     "oracle_recognize",
     "parse_tagged_graph",
     "perfect_substring_bounds",

@@ -121,7 +121,7 @@ def _cmd_canonical(args) -> int:
     if order is None:
         print("REJECT PROBE_NOT_PROPER", file=sys.stderr)
         return 1
-    cs = canonical_sequence(pg, order, validate=False)
+    cs = canonical_sequence(pg, order)
     print(" ".join(map(str, cs.seq)))
     return 0
 

@@ -7,7 +7,7 @@ and Lueker (JCSS 13, 1976): one template serves every pertinent P-node, root
 or not, and adds new children at the full end of a partial Q-node, so no
 Q-node is ever reversed.  Two reserved marker leaves, pinned to the ends,
 let a plain ``restrict`` flush a set to one end or, with its complement, to
-either end.
+either end; ``PQTree.pinned`` builds such a tree in that shape at once.
 
 A successful ``restrict`` costs O(|s| + depth), plus the length of the
 shorter partial child spliced into the longer at a P-node root and of each
@@ -154,6 +154,15 @@ class PQTree:
             self._root = self._leaf[labels[0]]
         else:
             self._root = _make_p([self._leaf[x] for x in labels])
+
+    @classmethod
+    def pinned(cls, members) -> "PQTree":
+        """Q(⊢ P(members) ⊣): PQTree((*members, ⊢, ⊣)) after restricting
+        members ∪ {⊢} and then members ∪ {⊣}, built at once."""
+        tree = cls((*members, MARK_LEFT, MARK_RIGHT))
+        leaf = tree._leaf
+        tree._root = _make_q([leaf[MARK_LEFT], _group([leaf[x] for x in members]), leaf[MARK_RIGHT]])
+        return tree
 
     # -- structural edits ------------------------------------------------
 

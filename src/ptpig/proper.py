@@ -4,7 +4,8 @@ A canonical ordering places every closed neighborhood consecutively; the
 stair sequence lists each vertex twice so that intervals [first, second]
 realize the graph.  Both exist exactly for proper interval graphs, and for
 connected reduced graphs the sequence is unique up to reversal.  Recognition
-checks one ordering per component; that check alone decides.
+checks one ordering per component; that check alone decides, and the
+rightmost neighbors it finds are all the stair sequence needs.
 """
 
 from __future__ import annotations
@@ -43,18 +44,23 @@ def sequence_from_iterable(seq) -> CanonicalSequence:
     return CanonicalSequence(seq=seq, L=first, R=second)
 
 
-def _normalize_component_order(fr: list, spans: list) -> list:
-    """Deterministic representative among the equivalent orderings.
+def _normalize_component_order(fr: list, spans: list) -> tuple[list, list]:
+    """Deterministic representative among the equivalent orderings, and each
+    of its positions' rightmost closed-neighbor position.
 
     Twins (equal closed neighborhoods) are interchangeable wherever they sit,
     and the whole component may be read in either direction.  In an umbrella
     ordering the twins are the runs of equal closed-neighborhood spans; sort
     each run ascending and keep the lexicographically smaller direction.
+    Sorting a run keeps its span at every position; reading backwards, the
+    vertex at position j came from n - 1 - j and now reaches n - 1 - lo.
     """
     runs = [sorted(v for _, v in grp) for _, grp in groupby(zip(spans, fr), key=itemgetter(0))]
     fwd = [v for run in runs for v in run]
     rev = [v for run in reversed(runs) for v in run]
-    return min(fwd, rev)
+    if fwd <= rev:
+        return fwd, [hi for _, hi in spans]
+    return rev, [len(fr) - 1 - lo for lo, _ in reversed(spans)]
 
 
 def _last_layer(adj, root, seen: bytearray) -> list:
@@ -138,67 +144,56 @@ def recognize_proper_interval(g: ProbeGraph):
     not depend on the start or on ties.  On any other graph the umbrella
     check, which alone decides, rejects whatever the sort gives.
     """
-    return _proper_order(g, connected_components(g))
+    got = _proper_order(g, connected_components(g))
+    return None if got is None else got[0]
 
 
 def _proper_order(g: ProbeGraph, comp: ComponentDecomposition):
-    """recognize_proper_interval for a caller that has g's components."""
+    """recognize_proper_interval for a caller that has g's components:
+    (order, upper), upper[i] the rightmost closed-neighbor position of
+    position i, read off the umbrella check; or None."""
     adj = g.adj
     m = g.n + 1
     seen = bytearray(m)
     dist = [-1] * m
     key = [0] * m
     order: list[int] = []
+    upper: list[int] = []
     for vs in comp.components:
+        base = len(order)
         if len(vs) == 1:
             order.append(vs[0])
+            upper.append(base)
             continue
         end = min(_last_layer(adj, vs[0], seen), key=lambda v: len(adj[v]))
         cand = _end_bfs_order(adj, end, dist, key, m)
         spans = _umbrella_spans(g, cand)
         if spans is None:
             return None
-        order.extend(_normalize_component_order(cand, spans))
-    return tuple(order)
+        fr, hi = _normalize_component_order(cand, spans)
+        order.extend(fr)
+        upper.extend(base + h for h in hi)
+    return tuple(order), upper
 
 
-def is_canonical_ordering(g: ProbeGraph, order) -> bool:
-    if sorted(order) != list(range(1, g.n + 1)):
-        return False
-    return _umbrella_spans(g, order) is not None
-
-
-def canonical_sequence(g: ProbeGraph, order, validate: bool = True) -> CanonicalSequence:
-    """The stair sequence of g under a canonical ordering.
-
-    Walk the order emitting first occurrences, flushing each pending second
-    occurrence as soon as its last neighbor has been passed.
-    """
-    if validate and not is_canonical_ordering(g, order):
-        raise ValueError("ordering is not canonical")
-    n = g.n
-    pos = {v: i for i, v in enumerate(order)}
-    upper = [0] * n  # rightmost adjacent position, per position
-    for i, v in enumerate(order):
-        m = i
-        for u in g.adj[v]:
-            pu = pos[u]
-            if pu > m:
-                m = pu
-        upper[i] = m
-    seq: list[int] = []
+def _stair(order, upper) -> CanonicalSequence:
+    """The stair sequence of a canonical ordering, upper[i] >= i the rightmost
+    closed-neighbor position of position i: walk the order emitting first
+    occurrences, flushing each second one once its last neighbor is passed."""
+    seq: list = []
     ptr = 0
-    for j in range(n):
-        while ptr < j and upper[ptr] < j:
+    for j, v in enumerate(order):
+        while upper[ptr] < j:
             seq.append(order[ptr])
             ptr += 1
-        seq.append(order[j])
-    while ptr < n:
-        seq.append(order[ptr])
-        ptr += 1
+        seq.append(v)
+    seq.extend(order[ptr:])
     return sequence_from_iterable(seq)
 
 
-def interval_rep_from_sequence(cs: CanonicalSequence) -> dict:
-    """Vertex -> [first position, second position]; a proper representation."""
-    return {v: (cs.L[v], cs.R[v]) for v in cs.L}
+def canonical_sequence(g: ProbeGraph, order) -> CanonicalSequence:
+    """The stair sequence of g under order; ValueError unless order is a
+    canonical ordering of all of g's vertices."""
+    if sorted(order) != list(range(1, g.n + 1)) or (spans := _umbrella_spans(g, order)) is None:
+        raise ValueError("not a canonical ordering of the vertices")
+    return _stair(order, [hi for _, hi in spans])

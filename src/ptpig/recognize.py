@@ -37,7 +37,7 @@ from .pqtree import MARK_LEFT, MARK_RIGHT, PQTree, strip_markers
 from .proper import (
     CanonicalSequence,
     _proper_order,
-    canonical_sequence,
+    _stair,
     sequence_from_iterable,
 )
 
@@ -191,11 +191,7 @@ class _CompState:
         """Block k's tree: its vertices between the two end markers."""
         tree = self.trees.get(k)
         if tree is None:
-            members = self.rg.blocks[k - 1]
-            tree = PQTree((*members, MARK_LEFT, MARK_RIGHT))
-            tree.restrict({*members, MARK_LEFT})
-            tree.restrict({*members, MARK_RIGHT})
-            self.trees[k] = tree
+            tree = self.trees[k] = PQTree.pinned(self.rg.blocks[k - 1])
         return tree
 
     def _flush(self, k: int, s, mark) -> bool:
@@ -453,10 +449,11 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     qc = connected_components(rg.quotient)
     # the quotient is proper interval iff the probe graph is: twins expand
     # into staggered copies of their block's interval
-    border = _proper_order(rg.quotient, qc)
-    if border is None:
+    got = _proper_order(rg.quotient, qc)
+    if got is None:
         return _reject(PROBE_NOT_PROPER)
-    bcs = canonical_sequence(rg.quotient, border, validate=False)
+    border, upper = got
+    bcs = _stair(border, upper)
     states: dict = {}
     lo = 0
     for ci, ks in enumerate(qc.components, 1):
@@ -601,17 +598,19 @@ def verify_certificate(g: TaggedGraph, cert: dict):
     """Independent check of an interval certificate against the graph.
 
     Returns None when valid, else (kind, u, v) for the first violation:
-    a missing or inverted interval, an interval for no vertex of g,
-    nonprobe independence, probe-probe adjacency vs intersection, tagged
-    adjacency vs endpoint containment, and probe properness (equal
-    intervals are tolerated, strict containment is not).
+    a missing or inverted interval, an interval for no vertex of g (the
+    smallest such number, else the first such key), nonprobe independence,
+    probe-probe adjacency vs intersection, tagged adjacency vs endpoint
+    containment, and probe properness (equal intervals are tolerated,
+    strict containment is not).
     """
     for v in range(1, g.n + 1):
         iv = cert.get(v)
         if iv is None or iv[0] > iv[1]:
             return ("missing-interval", v, v)
     if len(cert) != g.n:  # every vertex is present, so some key is not one
-        v = next(v for v in sorted(cert) if v not in range(1, g.n + 1))
+        stray = [v for v in cert if v not in range(1, g.n + 1)]
+        v = min((v for v in stray if isinstance(v, int)), default=stray[0])
         return ("unknown-vertex", v, v)
     bad = validate_nonprobe_independence(g)
     if bad is not None:

@@ -187,6 +187,26 @@ def test_serialize_goldens():
     assert frontier_set(t) == {(1, 2, 3, 4), (3, 2, 1, 4), (4, 1, 2, 3), (4, 3, 2, 1)}
 
 
+def test_pinned_tree_matches_two_restricts():
+    # a block's tree, built directly, is the tree that pinning the members
+    # between the markers with two restricts reaches, and it goes on to
+    # take the same restricts the same way
+    assert PQTree.pinned((3, 1, 2)).serialize() == "Q(⊢ P(3 1 2) ⊣)"
+    assert PQTree.pinned((5,)).serialize() == "Q(⊢ 5 ⊣)"
+    for members, sets in (((3, 1, 2), [{1, 2}, {2, MARK_RIGHT}]),
+                          ((5,), []),
+                          ((4, 7), [{7, MARK_LEFT}]),
+                          ((1, 2, 3, 4), [{2, 3}, {1, 2, 3}, {4, MARK_LEFT}])):
+        pinned = PQTree.pinned(members)
+        t = PQTree((*members, MARK_LEFT, MARK_RIGHT))
+        assert t.restrict({*members, MARK_LEFT}) and t.restrict({*members, MARK_RIGHT})
+        assert pinned.serialize() == t.serialize()
+        for s in sets:
+            assert pinned.restrict(s) == t.restrict(s)
+            assert pinned.serialize() == t.serialize()
+            assert frontier_set(pinned) == frontier_set(t)
+
+
 def test_partial_q_grows_at_its_full_end():
     # each new child goes in at the full end of a partial Q-node, whichever
     # end that is, so the Q-node keeps the way it reads

@@ -1,16 +1,15 @@
 import random
 import time
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ptpig import (
     PQTree,
     canonical_sequence,
     connected_components,
     compute_blocks,
-    interval_rep_from_sequence,
-    is_canonical_ordering,
     probe_subgraph,
     recognize_proper_interval,
     sequence_from_iterable,
@@ -18,7 +17,13 @@ from ptpig import (
 )
 from ptpig.graph import ProbeGraph
 from ptpig.oracle import enumerate_canonical_orderings
-from ptpig.proper import _last_layer, _normalize_component_order, _umbrella_spans
+from ptpig.proper import (
+    _last_layer,
+    _normalize_component_order,
+    _proper_order,
+    _stair,
+    _umbrella_spans,
+)
 
 from .conftest import EX22_STAIR, EX33_PROBE_STAIR, shallow_stack
 
@@ -35,10 +40,15 @@ def pg_of(n, edges):
     return probe_subgraph(tagged_graph(n, 0, edges))
 
 
+def interval_rep(cs):
+    """Vertex -> (first position, second position) in the sequence."""
+    return {v: (cs.L[v], cs.R[v]) for v in cs.L}
+
+
 def test_recognize_golden(ex22):
     pg = probe_subgraph(ex22)
     order = recognize_proper_interval(pg)
-    assert order is not None and is_canonical_ordering(pg, order)
+    assert order is not None and _umbrella_spans(pg, order) is not None
     assert canonical_sequence(pg, order).seq in (EX22_STAIR, tuple(reversed(EX22_STAIR)))
 
 
@@ -67,7 +77,7 @@ def test_first_bfs_reaches_both_ends_at_once():
     pg = pg_of(7, [(1, 2), (2, 3), (1, 4), (1, 5), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)])
     assert sorted(_last_layer(pg.adj, 1, bytearray(8))) == [3, 6, 7]
     order = recognize_proper_interval(pg)
-    assert order is not None and is_canonical_ordering(pg, order)
+    assert order is not None and _umbrella_spans(pg, order) is not None
     assert list(order) == [3, 2, 1, 4, 5, 6, 7]
 
 
@@ -78,7 +88,7 @@ def test_end_is_min_degree_of_a_one_sided_last_layer():
     pg = pg_of(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
     assert sorted(_last_layer(pg.adj, 1, bytearray(6))) == [4, 5]
     order = recognize_proper_interval(pg)
-    assert order is not None and is_canonical_ordering(pg, order)
+    assert order is not None and _umbrella_spans(pg, order) is not None
     assert list(order) == [1, 2, 3, 4, 5]
 
 
@@ -89,20 +99,18 @@ def test_recognize_single_vertex():
 def test_recognize_disconnected_concatenates_by_index():
     pg = pg_of(4, [(1, 2), (3, 4)])
     order = recognize_proper_interval(pg)
-    assert is_canonical_ordering(pg, order)
+    assert _umbrella_spans(pg, order) is not None
     assert canonical_sequence(pg, order).seq == (1, 2, 1, 2, 3, 4, 3, 4)
 
 
-def test_is_canonical_rejects_gap():
-    pg = pg_of(3, [(1, 2), (2, 3)])
-    assert is_canonical_ordering(pg, [1, 2, 3])
-    assert not is_canonical_ordering(pg, [1, 3, 2])
-    assert not is_canonical_ordering(pg, [1, 2])  # not a permutation
-
-
 def test_sequence_validation():
-    with pytest.raises(ValueError):
-        canonical_sequence(pg_of(3, [(1, 2), (2, 3)]), [1, 3, 2])
+    path = pg_of(3, [(1, 2), (2, 3)])
+    assert canonical_sequence(path, [1, 2, 3]).seq == (1, 2, 1, 3, 2, 3)
+    # a missing vertex, a duplicate, an extra vertex; then a gap in N[2]
+    # and one in N[3], which an unchecked walk turned into a wrong sequence
+    for order in ([1, 2], [1, 2, 2], [1, 2, 3, 4], [1, 3, 2], [2, 1, 3]):
+        with pytest.raises(ValueError):
+            canonical_sequence(path, order)
     with pytest.raises(ValueError):
         sequence_from_iterable((1, 1, 1, 2))
     with pytest.raises(ValueError):
@@ -132,13 +140,13 @@ def test_reversed_sequence_flips_tables():
 
 
 def test_interval_rep_goldens():
-    rep = interval_rep_from_sequence(sequence_from_iterable(EX22_STAIR))
+    rep = interval_rep(sequence_from_iterable(EX22_STAIR))
     assert rep == {
         1: (1, 3), 2: (2, 7), 3: (4, 9), 4: (5, 10),
         5: (6, 12), 6: (8, 13), 7: (11, 15), 8: (14, 16),
     }
-    assert interval_rep_from_sequence(sequence_from_iterable((1, 1))) == {1: (1, 2)}
-    assert interval_rep_from_sequence(sequence_from_iterable((1, 2, 1, 2))) == {1: (1, 3), 2: (2, 4)}
+    assert interval_rep(sequence_from_iterable((1, 1))) == {1: (1, 2)}
+    assert interval_rep(sequence_from_iterable((1, 2, 1, 2))) == {1: (1, 3), 2: (2, 4)}
 
 
 def block_layer(pg):
@@ -199,7 +207,7 @@ def test_verdict_matches_plain_pq_reference(pg):
             break
     assert (order is not None) == feasible
     if order is not None:
-        assert is_canonical_ordering(pg, order)
+        assert _umbrella_spans(pg, order) is not None
 
 
 @given(probe_graphs)
@@ -229,9 +237,37 @@ def test_interval_rep_is_proper(pg):
     order = recognize_proper_interval(pg)
     if order is None:
         return
-    rep = interval_rep_from_sequence(canonical_sequence(pg, order))
+    rep = interval_rep(canonical_sequence(pg, order))
     by_lo = sorted(rep.values())
     assert [hi for _, hi in by_lo] == sorted(hi for _, hi in rep.values())
+
+
+@st.composite
+def unit_graphs(draw):
+    """Unit-interval graphs relabelled at random: left ends at the running
+    sums of steps 0..4, interval length 3, so a step of 0 makes a twin and
+    a step of 4 ends a component."""
+    xs = list(accumulate(draw(st.lists(st.integers(0, 4), min_size=1, max_size=12))))
+    label = draw(st.permutations(range(1, len(xs) + 1)))
+    edges = [(label[i], label[j]) for i in range(len(xs))
+             for j in range(i + 1, len(xs)) if xs[j] - xs[i] <= 3]
+    return pg_of(len(xs), edges)
+
+
+@given(st.one_of(probe_graphs, unit_graphs()))
+@example(pg_of(3, [(1, 2), (2, 3)]))  # the BFS reads 3 2 1; the reversal is kept
+@example(pg_of(4, [(1, 2), (1, 3), (2, 3), (3, 4)]))  # twins 1, 2, reversed too
+@settings(max_examples=300, deadline=None)
+def test_carried_positions_give_the_stair_sequence(pg):
+    # the positions carried out of the umbrella check, through twin sorting
+    # and reversal, build the same sequence as a fresh check of the order
+    for q in (pg, compute_blocks(pg).quotient):
+        got = _proper_order(q, connected_components(q))
+        if got is None:
+            assert recognize_proper_interval(q) is None
+            continue
+        order, upper = got
+        assert _stair(order, upper) == canonical_sequence(q, order)
 
 
 @given(probe_graphs)
@@ -285,12 +321,12 @@ def test_large_unit_layouts_order_as_planted(seed):
     rng = random.Random(seed)
     pg, planted = unit_layout(rng, rng.randint(500, 3000), rng.randint(1, 6))
     order = recognize_proper_interval(pg)
-    assert order is not None and is_canonical_ordering(pg, order)
+    assert order is not None and _umbrella_spans(pg, order) is not None
     rank = {v: i for i, v in enumerate(planted)}
     at = 0
     for comp in connected_components(pg).components:
         fr = sorted(comp, key=rank.get)
-        assert list(order[at:at + len(comp)]) == _normalize_component_order(fr, _umbrella_spans(pg, fr))
+        assert list(order[at:at + len(comp)]) == _normalize_component_order(fr, _umbrella_spans(pg, fr))[0]
         at += len(comp)
 
 

@@ -449,6 +449,11 @@ def test_verify_rejects_unknown_vertices(ex36):
     assert verify_certificate(ex36, extra) == ("unknown-vertex", 99, 99)
     extra[0] = (1, 1)
     assert verify_certificate(ex36, extra) == ("unknown-vertex", 0, 0)
+    # keys that are no number: the first one given, after any stray number
+    g = tagged_graph(1, 0, [])
+    assert verify_certificate(g, {1: (1, 2), "x": (1, 1)}) == ("unknown-vertex", "x", "x")
+    assert verify_certificate(g, {"x": (1, 1), 1: (1, 2), 9: (3, 4), 0: (5, 6)}) == ("unknown-vertex", 0, 0)
+    assert verify_certificate(g, {"y": (3, 4), 1: (1, 2), "x": (1, 1)}) == ("unknown-vertex", "y", "y")
 
 
 def test_verify_probe_adjacency_both_ways():
