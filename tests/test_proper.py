@@ -103,6 +103,14 @@ def test_recognize_disconnected_concatenates_by_index():
     assert canonical_sequence(pg, order).seq == (1, 2, 1, 2, 3, 4, 3, 4)
 
 
+def test_is_canonical_rejects_gap():
+    pg = pg_of(3, [(1, 2), (2, 3)])
+    assert _umbrella_spans(pg, [1, 2, 3]) is not None
+    assert _umbrella_spans(pg, [1, 3, 2]) is None
+    with pytest.raises(ValueError):
+        canonical_sequence(pg, [1, 2])  # not a permutation
+
+
 def test_sequence_validation():
     path = pg_of(3, [(1, 2), (2, 3)])
     assert canonical_sequence(path, [1, 2, 3]).seq == (1, 2, 1, 3, 2, 3)
