@@ -19,12 +19,13 @@ from .generate import GenSpec, generate
 from .graph import (
     GraphFormatError,
     TaggedGraph,
+    connected_components,
     parse_tagged_graph,
     probe_subgraph,
     serialize_tagged_graph,
 )
 from .oracle import OracleBudgetExceeded, oracle_recognize
-from .proper import canonical_sequence, recognize_proper_interval
+from .proper import _proper_order, _stair
 from .recognize import RecognitionResult, recognize, verify_certificate
 
 _BENCH_SIZES = (10_000, 20_000, 40_000, 80_000)
@@ -117,12 +118,11 @@ def _cmd_verify(args) -> int:
 def _cmd_canonical(args) -> int:
     g = _load_graph(args.path)
     pg = probe_subgraph(g)
-    order = recognize_proper_interval(pg)
-    if order is None:
+    got = _proper_order(pg, connected_components(pg))  # one umbrella check
+    if got is None:
         print("REJECT PROBE_NOT_PROPER", file=sys.stderr)
         return 1
-    cs = canonical_sequence(pg, order)
-    print(" ".join(map(str, cs.seq)))
+    print(" ".join(map(str, _stair(*got).seq)))
     return 0
 
 

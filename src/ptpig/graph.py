@@ -7,6 +7,7 @@ separately so the CLI can report a witness edge instead of a parse error.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -33,20 +34,10 @@ class TaggedGraph:
     def n(self) -> int:
         return self.p + self.q
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def has_edge(self, u: int, v: int) -> bool:
-        # adjacency lists are sorted; fine for the small lookups we do
-        a = self.adj[u]
-        lo, hi = 0, len(a)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a[mid] < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(a) and a[lo] == v
+        a = self.adj[u]  # sorted
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
 
 @dataclass(frozen=True)
@@ -178,23 +169,14 @@ def probe_subgraph(g: TaggedGraph) -> ProbeGraph:
 def compute_blocks(g: ProbeGraph) -> ReducedGraph:
     """Group vertices with equal closed neighborhoods into blocks.
 
-    Closed neighborhoods are already sorted lists, so grouping by the key
-    (with the vertex itself merged in) is a single pass.
+    Open neighborhoods are sorted tuples, so each closed neighborhood, the
+    grouping key, is one with the vertex itself inserted in place.
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for v in range(1, g.n + 1):
         nb = g.adj[v]
-        # insert v into its sorted position to form the closed neighborhood
-        key_list = []
-        placed = False
-        for u in nb:
-            if not placed and v < u:
-                key_list.append(v)
-                placed = True
-            key_list.append(u)
-        if not placed:
-            key_list.append(v)
-        groups.setdefault(tuple(key_list), []).append(v)
+        i = bisect_left(nb, v)
+        groups.setdefault(nb[:i] + (v,) + nb[i:], []).append(v)
 
     blocks = sorted(groups.values(), key=lambda vs: vs[0])
     block_of = [0] * (g.n + 1)

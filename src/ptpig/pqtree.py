@@ -1,13 +1,16 @@
 """PQ-trees: a constraint store over orderings of a finite universe.
 
 A tree's frontier set is all leaf orders reachable by permuting children of
-P-nodes and reversing children of Q-nodes.  ``restrict`` narrows that set to
-the orders where a given subset is consecutive, by the templates of Booth
-and Lueker (JCSS 13, 1976): one template serves every pertinent P-node, root
-or not, and adds new children at the full end of a partial Q-node, so no
-Q-node is ever reversed.  Two reserved marker leaves, pinned to the ends,
-let a plain ``restrict`` flush a set to one end or, with its complement, to
-either end; ``PQTree.pinned`` builds such a tree in that shape at once.
+P-nodes and reversing children of Q-nodes.  Every internal node keeps its
+children in one doubly linked list; in a P-node it is just the order the
+frontier reads, and a child added there goes to the right end.  ``restrict``
+narrows the frontier set to the orders where a given subset is consecutive,
+by the templates of Booth and Lueker (JCSS 13, 1976): one template serves
+every pertinent P-node, root or not, and adds new children at the full end
+of a partial Q-node, so no Q-node is ever reversed.  Two reserved marker
+leaves, pinned to the ends, let a plain ``restrict`` flush a set to one end
+or, with its complement, to either end; ``PQTree.pinned`` builds such a tree
+in that shape at once.
 
 A successful ``restrict`` costs O(|s| + depth), plus the length of the
 shorter partial child spliced into the longer at a P-node root and of each
@@ -31,8 +34,7 @@ class _Node:
         "kind",  # "L" leaf, "P", "Q"
         "label",
         "parent",
-        "pchildren",  # ordered dict of children (P-nodes)
-        "first",  # linked child list (Q-nodes)
+        "first",  # doubly linked child list
         "last",
         "lsib",
         "rsib",
@@ -43,7 +45,6 @@ class _Node:
         self.kind = kind
         self.label = label
         self.parent = None
-        self.pchildren = None
         self.first = None
         self.last = None
         self.lsib = None
@@ -51,10 +52,6 @@ class _Node:
         self.child_count = 0
 
     def children(self) -> list["_Node"]:
-        if self.kind == "L":
-            return []
-        if self.kind == "P":
-            return list(self.pchildren)
         out = []
         c = self.first
         while c is not None:
@@ -63,51 +60,8 @@ class _Node:
         return out
 
 
-def _make_p(children) -> _Node:
-    n = _Node("P")
-    n.pchildren = {}
-    for c in children:
-        n.pchildren[c] = None
-        c.parent = n
-    n.child_count = len(n.pchildren)
-    return n
-
-
-def _make_q(children) -> _Node:
-    n = _Node("Q")
-    prev = None
-    for c in children:
-        c.parent = n
-        c.lsib = prev
-        c.rsib = None
-        if prev is None:
-            n.first = c
-        else:
-            prev.rsib = c
-        prev = c
-    n.last = prev
-    n.child_count = len(children)
-    return n
-
-
-def _group(children) -> _Node:
-    return children[0] if len(children) == 1 else _make_p(children)
-
-
-def _p_remove(parent: _Node, child: _Node) -> None:
-    del parent.pchildren[child]
-    parent.child_count -= 1
-    child.parent = None
-
-
-def _p_add(parent: _Node, child: _Node) -> None:
-    parent.pchildren[child] = None
-    parent.child_count += 1
-    child.parent = parent
-
-
-def _q_attach(parent: _Node, child: _Node, right) -> None:
-    """Add child at the right end of Q-node parent, or at its left end."""
+def _attach(parent: _Node, child: _Node, right) -> None:
+    """Add child at the right end of parent's child list, or at its left end."""
     child.parent = parent
     if right:
         child.lsib, child.rsib = parent.last, None
@@ -124,6 +78,30 @@ def _q_attach(parent: _Node, child: _Node, right) -> None:
             parent.first.lsib = child
         parent.first = child
     parent.child_count += 1
+
+
+def _unlink(parent: _Node, child: _Node) -> None:
+    if child.lsib is None:
+        parent.first = child.rsib
+    else:
+        child.lsib.rsib = child.rsib
+    if child.rsib is None:
+        parent.last = child.lsib
+    else:
+        child.rsib.lsib = child.lsib
+    parent.child_count -= 1
+    child.parent = child.lsib = child.rsib = None
+
+
+def _make(kind, children) -> _Node:
+    n = _Node(kind)
+    for c in children:
+        _attach(n, c, True)
+    return n
+
+
+def _group(children) -> _Node:
+    return children[0] if len(children) == 1 else _make("P", children)
 
 
 def _preorder(root: _Node):
@@ -144,16 +122,8 @@ class PQTree:
             raise ValueError("duplicate labels in universe")
         self._labels = frozenset(labels)
         self._rank = {x: i for i, x in enumerate(labels)}
-        self._leaf: dict = {}
-        for x in labels:
-            lf = _Node("L", x)
-            self._leaf[x] = lf
-        if not labels:
-            self._root = None
-        elif len(labels) == 1:
-            self._root = self._leaf[labels[0]]
-        else:
-            self._root = _make_p([self._leaf[x] for x in labels])
+        self._leaf = {x: _Node("L", x) for x in labels}
+        self._root = _group(list(self._leaf.values())) if labels else None
 
     @classmethod
     def pinned(cls, members) -> "PQTree":
@@ -161,7 +131,7 @@ class PQTree:
         members ∪ {⊢} and then members ∪ {⊣}, built at once."""
         tree = cls((*members, MARK_LEFT, MARK_RIGHT))
         leaf = tree._leaf
-        tree._root = _make_q([leaf[MARK_LEFT], _group([leaf[x] for x in members]), leaf[MARK_RIGHT]])
+        tree._root = _make("Q", [leaf[MARK_LEFT], _group([leaf[x] for x in members]), leaf[MARK_RIGHT]])
         return tree
 
     # -- structural edits ------------------------------------------------
@@ -173,11 +143,11 @@ class PQTree:
             new.lsib = new.rsib = None
             return
         if parent.kind == "P":
-            del parent.pchildren[old]
-            parent.pchildren[new] = None
-            new.parent = parent
-            new.lsib = new.rsib = None
-            old.parent = None
+            # to the right end, like every child added to a P-node: the old
+            # child's slot admits the same orders but reads another frontier,
+            # and certificates are read off the frontier
+            _unlink(parent, old)
+            _attach(parent, new, True)
             return
         new.lsib = old.lsib
         new.rsib = old.rsib
@@ -285,7 +255,7 @@ class PQTree:
                 # the longer partial Q absorbs the rest at its full end, so
                 # only the shorter one is walked; with none, a transient Q
                 for f in fulls:
-                    _p_remove(node, f)
+                    _unlink(node, f)
                 if len(partials) == 2 and partials[1].child_count > partials[0].child_count:
                     partials.reverse()
                 if partials:
@@ -296,34 +266,34 @@ class PQTree:
                     side = 1
                     pseudos.append(c)
                 if fulls:
-                    _q_attach(c, _group(fulls), side)
+                    _attach(c, _group(fulls), side)
                 if len(partials) == 2:
                     c2 = partials[1]
-                    _p_remove(node, c2)
+                    _unlink(node, c2)
                     kids = c2.children()
                     if labels[c2][1]:  # full end first
                         kids.reverse()
                     for k in kids:
-                        _q_attach(c, k, side)
+                        _attach(c, k, side)
                 if is_root:
                     if c.parent is None:
-                        _p_add(node, c)
+                        _attach(node, c, True)
                     if node.child_count == 1:
-                        _p_remove(node, c)
+                        _unlink(node, c)
                         self._replace_child(node.parent, node, c)
                     continue
                 if partials:
-                    _p_remove(node, c)
+                    _unlink(node, c)
                 if node.child_count == 0:
                     egrp = None
                 elif node.child_count == 1:
-                    egrp = next(iter(node.pchildren))
-                    _p_remove(node, egrp)
+                    egrp = node.first
+                    _unlink(node, egrp)
                 else:
                     egrp = node
                 self._replace_child(node.parent, node, c)
                 if egrp is not None:
-                    _q_attach(c, egrp, not side)
+                    _attach(c, egrp, not side)
                 labels[c] = ("P", side)
                 replaced[node] = c
                 continue
@@ -398,13 +368,7 @@ class PQTree:
             if q.child_count == 1:
                 self._replace_child(q.parent, q, q.first)
             elif q.child_count == 2:
-                kids = q.children()
                 q.kind = "P"
-                q.first = q.last = None
-                q.pchildren = {}
-                for k in kids:
-                    k.lsib = k.rsib = None
-                    q.pchildren[k] = None
         return True
 
     # -- oriented variants -------------------------------------------------
@@ -455,7 +419,7 @@ class PQTree:
                 copies[node] = t._leaf[node.label] = _Node("L", node.label)
             else:
                 kids = [copies[c] for c in node.children()]
-                copies[node] = _make_p(kids) if node.kind == "P" else _make_q(kids)
+                copies[node] = _make(node.kind, kids)
         t._root = copies[self._root]
         return t
 

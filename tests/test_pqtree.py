@@ -80,6 +80,28 @@ def brute_consecutive(universe, sets, perms=None):
     return out
 
 
+def _check_links(tree):
+    """Every node's child list is well linked and counted, P-nodes have at
+    least 2 children and Q-nodes at least 3, and the leaves are the universe."""
+    leaves = []
+    if tree._root is not None:
+        assert tree._root.parent is None
+        for node in _preorder(tree._root):
+            if node.kind == "L":
+                assert node.first is None and node.last is None and node.child_count == 0
+                assert tree._leaf[node.label] is node
+                leaves.append(node.label)
+                continue
+            kids = node.children()
+            assert node.child_count == len(kids) >= (2 if node.kind == "P" else 3)
+            assert node.first is kids[0] and node.last is kids[-1]
+            assert kids[0].lsib is None and kids[-1].rsib is None
+            for a, b in zip(kids, kids[1:]):
+                assert a.rsib is b and b.lsib is a
+            assert all(c.parent is node for c in kids)
+    assert len(leaves) == len(tree._labels) and set(leaves) == tree._labels
+
+
 class FrontierCapExceeded(RuntimeError):
     """enumerate_frontiers would produce more orderings than the cap."""
 
@@ -198,6 +220,7 @@ def test_pinned_tree_matches_two_restricts():
                           ((4, 7), [{7, MARK_LEFT}]),
                           ((1, 2, 3, 4), [{2, 3}, {1, 2, 3}, {4, MARK_LEFT}])):
         pinned = PQTree.pinned(members)
+        _check_links(pinned)
         t = PQTree((*members, MARK_LEFT, MARK_RIGHT))
         assert t.restrict({*members, MARK_LEFT}) and t.restrict({*members, MARK_RIGHT})
         assert pinned.serialize() == t.serialize()
@@ -225,6 +248,33 @@ def test_partial_q_grows_at_its_full_end():
         for s in sets:
             assert t.restrict(s)
         assert t.serialize() == shape
+        assert frontier_set(t) == brute_consecutive(universe, sets)
+
+
+def test_replaced_child_of_a_p_node_goes_to_its_right_end():
+    # a child that takes another's place in a P-node goes to the right end,
+    # as an added child does, not into the old child's slot
+    cases = [
+        # non-root P(1 2 3) becomes a partial Q inside its P parent
+        (list(range(1, 8)), [{1, 2, 3}, {4, 5}, {3, 6}], "P(6 7 P(1 2 3) P(4 5))",
+         "P(7 P(4 5) Q(P(1 2) 3 6))"),
+        # the pertinent root P(1 2 3) keeps the group P(1 2) in a transient Q
+        # of one child, which the group then replaces
+        (list(range(1, 8)), [{1, 2, 3}, {4, 5}, {1, 2, 3, 4, 5}, {1, 2}],
+         "P(6 7 P(P(1 2 3) P(4 5)))", "P(6 7 P(P(3 P(1 2)) P(4 5)))"),
+        # the pertinent root P(Q(1 2 3) 4) is left with one child, the
+        # partial Q, which replaces it inside its P parent
+        (list(range(1, 8)), [{1, 2}, {2, 3}, {1, 2, 3, 4}, {5, 6}, {3, 4}],
+         "P(7 P(Q(1 2 3) 4) P(5 6))", "P(7 P(5 6) Q(1 2 3 4))"),
+    ]
+    for universe, sets, before, after in cases:
+        t = PQTree(universe)
+        for s in sets[:-1]:
+            assert t.restrict(s)
+        assert t.serialize() == before
+        assert t.restrict(sets[-1])
+        assert t.serialize() == after
+        _check_links(t)
         assert frontier_set(t) == brute_consecutive(universe, sets)
 
 
@@ -281,6 +331,7 @@ def test_clone_of_a_deep_tree_needs_no_deep_recursion():
         assert t.restrict(range(1, k + 1))
     with shallow_stack(100):
         copy = t.clone()
+        _check_links(copy)
         assert copy.frontier() == t.frontier()
         before = t.serialize()
         assert copy.serialize() == before
@@ -352,6 +403,7 @@ def test_restrict_matches_brute(case):
         if not feasible:
             assert expect == set()
             break
+        _check_links(t)
         assert frontier_set(t, 50000) == expect
 
 
@@ -364,6 +416,7 @@ def test_restrict_is_monotone(case):
     for s in sets:
         if not t.restrict(s):
             break
+        _check_links(t)
         nxt = frontier_set(t, 50000)
         assert nxt <= admissible
         admissible = nxt

@@ -1,3 +1,5 @@
+import hashlib
+import random
 import time
 
 import pytest
@@ -559,3 +561,73 @@ def test_accepts_pass_two_stretch(g):
         return
     order = list(dict.fromkeys(res.sequence.seq))
     assert two_stretch_filter(g, order) is None
+
+
+# -- output digest -------------------------------------------------------------
+
+
+def _planted_components(rng, sizes):
+    """Planted instance: components from ``generate`` laid side by side, one
+    free slot apart, plus windows that may cross the gaps, under a random
+    renumbering of the probes and of the nonprobes.  Edges follow from the
+    intervals, so the intervals are a certificate."""
+    probes, windows, off = [], [], 0
+    for s in sizes:
+        _, cert = generate(GenSpec(s, rng.randint(0, s), seed=rng.randrange(2**32),
+                                   overlap=rng.random(), span=rng.choice((0.05, 0.3))))
+        shifted = [(v, (lo + off, hi + off)) for v, (lo, hi) in sorted(cert.items())]
+        probes += [iv for v, iv in shifted if v <= s]
+        windows += [iv for v, iv in shifted if v > s]
+        off += 2 * s + 2
+    for _ in range(len(sizes)):
+        lo = rng.randint(1, off)
+        windows.append((lo, min(off, lo + rng.randint(0, 12))))
+    p, q = len(probes), len(windows)
+    pnum = rng.sample(range(1, p + 1), p)
+    wnum = rng.sample(range(p + 1, p + q + 1), q)
+    cert = dict(zip(pnum + wnum, probes + windows))
+    edges = [(u, v) for u in pnum for v in pnum
+             if u < v and max(cert[u][0], cert[v][0]) <= min(cert[u][1], cert[v][1])]
+    edges += [(u, w) for w in wnum for u in pnum
+              if any(cert[w][0] <= x <= cert[w][1] for x in cert[u])]
+    return tagged_graph(p, q, edges), cert
+
+
+def _flip(rng, g, flips):
+    """g with a few probe-incident vertex pairs flipped."""
+    es = {(u, v) for u in range(1, g.n + 1) for v in g.adj[u] if u < v}
+    for _ in range(flips if g.n > 1 else 0):
+        u = rng.randint(1, g.p)
+        v = rng.choice([x for x in range(1, g.n + 1) if x != u])
+        es ^= {(min(u, v), max(u, v))}
+    return tagged_graph(g.p, g.q, es)
+
+
+# sha256 of every result below, in order; a change that means to alter any
+# verdict, reason, witness, edge, sequence or certificate updates it
+OUTPUT_DIGEST = "5dc739a217ce6fc106555ca396d5d6f4c3eda01b6d331c57eada37a9ef8ddc1f"
+
+
+def test_output_digest():
+    # one seeded stream of planted and perturbed instances, single- and
+    # multi-component; refactors that keep every output keep this digest
+    rng = random.Random(20_160_711)
+    h = hashlib.sha256()
+    for i in range(300):
+        if i % 2:
+            p = rng.randint(1, 150)
+            g, cert = generate(GenSpec(p, rng.randint(0, 100), seed=rng.randrange(2**32),
+                                       overlap=rng.random(), span=rng.choice((0.02, 0.1, 0.4))))
+        else:
+            g, cert = _planted_components(rng, [rng.randint(1, 16) for _ in range(rng.randint(1, 8))])
+        if i % 3 == 2:
+            g, cert = _flip(rng, g, rng.randint(1, 3)), None
+        res = recognize(g)
+        if cert is not None:
+            assert verify_certificate(g, cert) is None and res.accepted
+        if res.accepted:
+            assert verify_certificate(g, res.certificate) is None
+        seq = None if res.sequence is None else res.sequence.seq
+        items = None if res.certificate is None else sorted(res.certificate.items())
+        h.update(repr((res.accepted, res.reason, res.witness, res.edge, seq, items)).encode())
+    assert h.hexdigest() == OUTPUT_DIGEST
