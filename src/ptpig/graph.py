@@ -7,7 +7,7 @@ separately so the CLI can report a witness edge instead of a parse error.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 
@@ -23,7 +23,8 @@ MAX_VERTICES = 1_000_000
 
 @dataclass(frozen=True)
 class TaggedGraph:
-    """Recognition input.  adj is 1-based: adj[0] is unused and empty."""
+    """Recognition input.  adj is 1-based: adj[0] is unused and empty, and
+    each adj[v] is sorted, so a vertex's probe neighbours come first."""
 
     p: int
     q: int
@@ -33,11 +34,6 @@ class TaggedGraph:
     @property
     def n(self) -> int:
         return self.p + self.q
-
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adj[u]  # sorted
-        i = bisect_left(a, v)
-        return i < len(a) and a[i] == v
 
 
 @dataclass(frozen=True)
@@ -151,19 +147,19 @@ def serialize_tagged_graph(g: TaggedGraph) -> str:
 
 
 def validate_nonprobe_independence(g: TaggedGraph) -> tuple[int, int] | None:
-    """Return None if no edge joins two nonprobes, else one offending edge."""
+    """Return None if no edge joins two nonprobes, else the first offending
+    edge (w, u), w < u, by w and then u."""
     for w in range(g.p + 1, g.n + 1):
-        for u in g.adj[w]:
-            if u > g.p and u > w:
-                return (w, u)
+        a = g.adj[w]
+        if a and a[-1] > w:  # sorted, and every u > w > p is a nonprobe
+            return (w, a[bisect_right(a, w)])
     return None
 
 
 def probe_subgraph(g: TaggedGraph) -> ProbeGraph:
-    adj = [()] + [
-        tuple(u for u in g.adj[v] if u <= g.p) for v in range(1, g.p + 1)
-    ]
-    return ProbeGraph(n=g.p, adj=tuple(adj))
+    p = g.p
+    adj = [a[:bisect_right(a, p)] for a in g.adj[:p + 1]]  # nonprobes follow p
+    return ProbeGraph(n=p, adj=tuple(adj))
 
 
 def compute_blocks(g: ProbeGraph) -> ReducedGraph:

@@ -117,19 +117,23 @@ class PQTree:
     """Mutable PQ-tree over distinct hashable labels."""
 
     def __init__(self, universe):
-        labels = list(universe)
+        self._index(list(universe))
+        self._root = _group(list(self._leaf.values())) if self._leaf else None
+
+    def _index(self, labels: list) -> None:
+        """The universe, each label's rank and its leaf; no root yet."""
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels in universe")
         self._labels = frozenset(labels)
         self._rank = {x: i for i, x in enumerate(labels)}
         self._leaf = {x: _Node("L", x) for x in labels}
-        self._root = _group(list(self._leaf.values())) if labels else None
 
     @classmethod
     def pinned(cls, members) -> "PQTree":
         """Q(⊢ P(members) ⊣): PQTree((*members, ⊢, ⊣)) after restricting
         members ∪ {⊢} and then members ∪ {⊣}, built at once."""
-        tree = cls((*members, MARK_LEFT, MARK_RIGHT))
+        tree = cls.__new__(cls)
+        tree._index([*members, MARK_LEFT, MARK_RIGHT])
         leaf = tree._leaf
         tree._root = _make("Q", [leaf[MARK_LEFT], _group([leaf[x] for x in members]), leaf[MARK_RIGHT]])
         return tree

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .graph import ComponentDecomposition, ProbeGraph, connected_components
 
@@ -55,9 +55,16 @@ def _normalize_component_order(fr: list, spans: list) -> tuple[list, list]:
     Sorting a run keeps its span at every position; reading backwards, the
     vertex at position j came from n - 1 - j and now reaches n - 1 - lo.
     """
-    runs = [sorted(v for _, v in grp) for _, grp in groupby(zip(spans, fr), key=itemgetter(0))]
-    fwd = [v for run in runs for v in run]
-    rev = [v for run in reversed(runs) for v in run]
+    if not any(map(eq, spans, spans[1:])):  # no twins: every run is one vertex
+        fwd = list(fr)
+        rev = fwd[::-1]
+    else:
+        runs = [[v for _, v in grp] for _, grp in groupby(zip(spans, fr), key=itemgetter(0))]
+        for run in runs:
+            if len(run) > 1:
+                run.sort()
+        fwd = [v for run in runs for v in run]
+        rev = [v for run in reversed(runs) for v in run]
     if fwd <= rev:
         return fwd, [hi for _, hi in spans]
     return rev, [len(fr) - 1 - lo for lo, _ in reversed(spans)]

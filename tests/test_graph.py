@@ -22,7 +22,7 @@ from .conftest import EX33_EDGES, EX36_EDGES
 def test_parse_minimal():
     g = parse_tagged_graph("ptpig 2 1\ne 1 2\ne 1 3\n")
     assert (g.p, g.q, g.n) == (2, 1, 3)
-    assert g.has_edge(1, 2) and g.has_edge(1, 3) and not g.has_edge(2, 3)
+    assert g.adj == ((), (2, 3), (1,), (1,))
 
 
 def test_parse_comments_and_blank_lines():
@@ -88,6 +88,12 @@ def test_independence_ok(ex36):
 def test_independence_witness():
     g = tagged_graph(2, 2, [(1, 2), (3, 4)])
     assert validate_nonprobe_independence(g) == (3, 4)
+    # the smallest nonprobe with a larger nonprobe neighbour, and the
+    # smallest such neighbour
+    g = tagged_graph(2, 5, [(1, 2), (1, 3), (4, 6), (5, 6), (5, 7), (2, 5)])
+    assert validate_nonprobe_independence(g) == (4, 6)
+    g = tagged_graph(2, 5, [(1, 3), (3, 1), (5, 6), (5, 7), (2, 5)])
+    assert validate_nonprobe_independence(g) == (5, 6)
 
 
 def test_independence_vacuous_without_nonprobes(ex22):

@@ -215,6 +215,22 @@ def test_twin_nonprobes_take_linear_time():
     _accepts_within_10s(tagged_graph(y, q, edges))
 
 
+def test_repeated_boundary_sets_take_linear_time():
+    # probes 1..b form K_b, probes b+1..b+B are isolated, and nonprobe j
+    # sees probes 1 and b + j: a no-instance, since one end of K_b can touch
+    # only one other component.  Every boundary set on K_b is {1}, whose
+    # complement restrict costs b - 1 once per nonprobe unless repeats are
+    # dropped: Θ(B·b), about 40 s here
+    b, B = 800, 60_000
+    edges = [(u, v) for u in range(1, b + 1) for v in range(u + 1, b + 1)]
+    edges += [(u, b + B + j) for j in range(1, B + 1) for u in (1, b + j)]
+    g = tagged_graph(b + B, B, edges)
+    t0 = time.perf_counter()
+    res = recognize(g)
+    assert time.perf_counter() - t0 < 10
+    assert (res.reason, res.witness) == ("MARKER_PQ_INFEASIBLE", b + B + 2)
+
+
 def test_either_end_flushes_never_clone(monkeypatch):
     # blocks {1, 4}, {2, 5} and {3}; nonprobe 6 sees {4, 5}, which may read
     # forwards or backwards across the two blocks: two deferred flushes, and
