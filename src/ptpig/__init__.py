@@ -19,7 +19,7 @@ from .graph import (
     two_stretch_filter,
     validate_nonprobe_independence,
 )
-from .oracle import OracleBudget, OracleBudgetExceeded, oracle_recognize
+from .oracle import OracleBudgetExceeded, oracle_recognize
 from .pqtree import PQTree
 from .proper import (
     CanonicalSequence,
@@ -42,7 +42,6 @@ __all__ = [
     "CanonicalSequence",
     "GenSpec",
     "GraphFormatError",
-    "OracleBudget",
     "OracleBudgetExceeded",
     "PQTree",
     "ProbeGraph",

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .generate import GenSpec, generate
 from .graph import (
+    MAX_INPUT_BYTES,
     GraphFormatError,
     TaggedGraph,
     connected_components,
@@ -44,8 +45,18 @@ class BenchReport:
     slope: float | None  # log-log fit; None for a single size
 
 
+def _read_text(path: str) -> str:
+    """A file's text, refused once it runs past MAX_INPUT_BYTES: one byte
+    more than the cap is all that is read of a longer file."""
+    with open(path, "rb") as f:
+        data = f.read(MAX_INPUT_BYTES + 1)
+    if len(data) > MAX_INPUT_BYTES:
+        raise GraphFormatError(f"{path}: longer than {MAX_INPUT_BYTES} bytes")
+    return data.decode("utf-8")
+
+
 def _load_graph(path: str) -> TaggedGraph:
-    return parse_tagged_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_tagged_graph(_read_text(path))
 
 
 def _verdict_line(res: RecognitionResult, p: int) -> str:
@@ -105,7 +116,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.path)
-    cert = _parse_cert(Path(args.cert).read_text(encoding="utf-8"))
+    cert = _parse_cert(_read_text(args.cert))
     bad = verify_certificate(g, cert)
     if bad is None:
         print("VALID")

@@ -20,6 +20,12 @@ class GraphFormatError(ValueError):
 # 230 MB, so a one-line header cannot ask for many gigabytes.
 MAX_VERTICES = 1_000_000
 
+# Largest input text accepted, in characters (bytes, for the ASCII wire
+# format).  Parsing keeps about 184 bytes per edge, so this bounds memory
+# by edges too; it admits K_2000 (22 MB) and the planted 10^6-vertex
+# instance of ``ptpig bench`` (1.87M edges, about 30 MB).
+MAX_INPUT_BYTES = 64 * 2**20
+
 
 @dataclass(frozen=True)
 class TaggedGraph:
@@ -98,8 +104,11 @@ def parse_tagged_graph(text: str) -> TaggedGraph:
     """Parse the line-oriented wire format.
 
     Line 1: ``ptpig <p> <q>``.  Then ``e <u> <v>`` lines, ``#`` comments,
-    blank lines ignored.  Errors name the offending line.
+    blank lines ignored.  Errors name the offending line.  A text longer
+    than MAX_INPUT_BYTES is refused before any line is read.
     """
+    if len(text) > MAX_INPUT_BYTES:
+        raise GraphFormatError(f"input longer than {MAX_INPUT_BYTES} bytes")
     p = q = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,7 +183,7 @@ def compute_blocks(g: ProbeGraph) -> ReducedGraph:
         i = bisect_left(nb, v)
         groups.setdefault(nb[:i] + (v,) + nb[i:], []).append(v)
 
-    blocks = sorted(groups.values(), key=lambda vs: vs[0])
+    blocks = list(groups.values())  # each first inserted at its smallest vertex
     block_of = [0] * (g.n + 1)
     for k, vs in enumerate(blocks, start=1):
         for v in vs:

@@ -11,7 +11,6 @@ round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 from .graph import (
@@ -29,17 +28,14 @@ ORIENT_RIGHT = 1
 ORIENT_EITHER = 2
 
 
+# Enumeration caps: vertices per permuted set (8! = 40,320 orderings), and
+# arrangement states tried across components.
+MAX_UNIVERSE = 8
+MAX_ORDERINGS = 500_000
+
+
 class OracleBudgetExceeded(RuntimeError):
-    """Instance too large for honest enumeration under the given budget."""
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_orderings: int = 500_000
-    max_universe: int = 8
-
-
-DEFAULT_BUDGET = OracleBudget()
+    """Instance too large for honest enumeration under the caps above."""
 
 
 def _is_canonical(g: ProbeGraph, order) -> bool:
@@ -58,12 +54,12 @@ def _is_canonical(g: ProbeGraph, order) -> bool:
     return True
 
 
-def enumerate_canonical_orderings(g: ProbeGraph, budget: OracleBudget = DEFAULT_BUDGET):
+def enumerate_canonical_orderings(g: ProbeGraph):
     """Exact list of orderings with the consecutive closed-neighborhood
     property, by filtering all |V|! permutations."""
-    if g.n > budget.max_universe:
+    if g.n > MAX_UNIVERSE:
         raise OracleBudgetExceeded(
-            f"{g.n} vertices exceeds the enumeration cap ({budget.max_universe})"
+            f"{g.n} vertices exceeds the enumeration cap ({MAX_UNIVERSE})"
         )
     out = []
     for perm in permutations(range(1, g.n + 1)):
@@ -118,7 +114,7 @@ def _has_perfect_substring(seq, nbrs: frozenset) -> bool:
     return False
 
 
-def oracle_recognize(g: TaggedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> bool:
+def oracle_recognize(g: TaggedGraph) -> bool:
     """True iff g is recognizable, by exhaustive arrangement search."""
     if validate_nonprobe_independence(g) is not None:
         return False
@@ -129,7 +125,7 @@ def oracle_recognize(g: TaggedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> b
 
     per_comp_orderings = []
     for comp in comps:
-        if len(comp) > budget.max_universe:
+        if len(comp) > MAX_UNIVERSE:
             raise OracleBudgetExceeded(
                 f"component of {len(comp)} vertices exceeds the cap"
             )
@@ -177,9 +173,9 @@ def oracle_recognize(g: TaggedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> b
     for comp_perm in permutations(range(len(comps))):
         for choice in product(*(filtered[ci] for ci in comp_perm)):
             states += 1
-            if states > budget.max_orderings:
+            if states > MAX_ORDERINGS:
                 raise OracleBudgetExceeded(
-                    f"more than {budget.max_orderings} arrangements"
+                    f"more than {MAX_ORDERINGS} arrangements"
                 )
             seq = [x for part in choice for x in part]
             if all(_has_perfect_substring(seq, nb) for nb in cross_nonprobes):
@@ -187,7 +183,7 @@ def oracle_recognize(g: TaggedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> b
     return False
 
 
-def brute_oriented_consecutive_ones(universe, rs, max_universe: int = 8):
+def brute_oriented_consecutive_ones(universe, rs):
     """All orderings of universe satisfying every restriction literally.
 
     rs is a list of (subset, orientation) pairs; orientation 0 demands the
@@ -195,7 +191,7 @@ def brute_oriented_consecutive_ones(universe, rs, max_universe: int = 8):
     and 2 flushed to either end.
     """
     elems = list(universe)
-    if len(elems) > max_universe:
+    if len(elems) > MAX_UNIVERSE:
         raise OracleBudgetExceeded(
             f"universe of {len(elems)} exceeds the enumeration cap"
         )

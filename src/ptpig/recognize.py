@@ -123,20 +123,21 @@ def block_classes(rg: ReducedGraph, nbrs):
     return ngb, fw
 
 
-def block_window_candidates(bcs: CanonicalSequence, fw: dict):
-    """All (k1, k2, a, b): block substring [a, b] realizing a window for w.
+def block_window_candidates(bcs: CanonicalSequence, fw: dict) -> set:
+    """Every (first block, last block) of a block substring realizing a
+    window for w.
 
     Qualifying substrings contain only block-neighbors (by f-value), cover
     every block-neighbor, and any *interior* partial block must be one of
-    the two end blocks k1, k2.  fw must name a partial block: a window over
-    whole blocks is a perfect substring of bcs.  Every partial block is then
-    an end block, so each window starts or ends at one of the at most four
+    the two end blocks.  fw must name a partial block: a window over whole
+    blocks is a perfect substring of bcs.  Every partial block is then an
+    end block, so each window starts or ends at one of the at most four
     occurrences of the partial blocks, and one scan out from each of them in
     each direction finds every window: O(deg) per nonprobe.
     """
     partials = [k for k, f in fw.items() if f == 2]
     if len(partials) > 2:
-        return []  # at most two of them can be end blocks
+        return set()  # at most two of them can be end blocks
     seq = bcs.seq
     total = len(seq)
     out = set()
@@ -150,14 +151,13 @@ def block_window_candidates(bcs: CanonicalSequence, fw: dict):
                     ke = seq[e - 1]
                     covered.add(ke)
                     if (stray is None or stray == ke) and len(covered) == len(fw):
-                        a, b = (o, e) if step == 1 else (e, o)
-                        out.add((seq[a - 1], seq[b - 1], a, b))
+                        out.add((k, ke) if step == 1 else (ke, k))
                     if ke != k and fw[ke] == 2:  # interior from the next step on
                         if stray not in (None, ke):
                             break  # two distinct interior partials: hopeless
                         stray = ke
                     e += step
-    return sorted(out)
+    return out
 
 
 # -- per-component layout ----------------------------------------------------
@@ -196,8 +196,21 @@ class _CompState:
             tree = self.trees[k] = PQTree.pinned(self.rg.blocks[k - 1])
         return tree
 
-    def _flush(self, k: int, s, mark) -> bool:
-        return self._tree(k).restrict(frozenset(s) | {mark})
+    def _role_constraint(self, w: int, k: int, s, first: bool, last: bool) -> str | None:
+        """Constrain partial block k by the roles it can take in w's window.
+
+        s, w's neighbours in k, is a suffix of k's order when k can only be
+        the window's first block, and a prefix when it can only be the last.
+        When it can be either, s is flushed to one end or the other: the
+        choice waits for resolve_deferred, or, on a complete component, for
+        resolve_circular, which reads w's boundary set itself.
+        """
+        if first and last:
+            if self.t > 1:
+                self.deferred.append((w, k, frozenset(s)))
+            return None
+        mark = MARK_RIGHT if first else MARK_LEFT
+        return None if self._tree(k).restrict(frozenset(s) | {mark}) else FINAL_CHECK_FAIL
 
     # .. in-component nonprobes ..
 
@@ -218,46 +231,21 @@ class _CompState:
             self.circ.append((w, frozenset(ngb[partials[0]])))
             return None
         # every partial block of a window is one of its two end blocks
-        if len(partials) > 2:
-            return B1_FAIL
         pairs = block_window_candidates(self.bcs, fw)
         if not pairs:
             return B1_FAIL
-        if len(partials) == 1:
-            k = partials[0]
-            s = ngb[k]
-            if len(fw) == 1:
-                # window sits inside a single occurrence of the block
-                return None if self._tree(k).restrict(s) else FINAL_CHECK_FAIL
-            if any(k1 == k == k2 and a < b for (k1, k2, a, b) in pairs):
-                # window spans from one occurrence of k to the other, eating
-                # the complement from the middle
-                rest = set(self.rg.blocks[k - 1]) - s
-                return None if self._tree(k).restrict(rest) else FINAL_CHECK_FAIL
-            starts = any(k1 == k != k2 for (k1, k2, _, _) in pairs)
-            ends = any(k2 == k != k1 for (k1, k2, _, _) in pairs)
-            if starts and ends:
-                self.deferred.append((w, k, frozenset(s)))
-                return None
-            if starts:  # neighbors form a suffix of the block's ordering
-                return None if self._flush(k, s, MARK_RIGHT) else FINAL_CHECK_FAIL
-            if ends:  # neighbors form a prefix
-                return None if self._flush(k, s, MARK_LEFT) else FINAL_CHECK_FAIL
-            return B1_FAIL
-        ka, kb = partials
-        fwd = any((k1, k2) == (ka, kb) for (k1, k2, _, _) in pairs)
-        bwd = any((k1, k2) == (kb, ka) for (k1, k2, _, _) in pairs)
-        if fwd and bwd:
-            self.deferred.append((w, ka, frozenset(ngb[ka])))
-            self.deferred.append((w, kb, frozenset(ngb[kb])))
-            return None
-        if fwd:
-            ok = self._flush(ka, ngb[ka], MARK_RIGHT) and self._flush(kb, ngb[kb], MARK_LEFT)
-            return None if ok else FINAL_CHECK_FAIL
-        if bwd:
-            ok = self._flush(kb, ngb[kb], MARK_RIGHT) and self._flush(ka, ngb[ka], MARK_LEFT)
-            return None if ok else FINAL_CHECK_FAIL
-        return B1_FAIL
+        k = partials[0]
+        if (k, k) in pairs:  # only a lone partial block can end both sides
+            # the window sits inside one occurrence of k, or spans from one
+            # occurrence to the other, eating the complement from the middle
+            s = ngb[k] if len(fw) == 1 else set(self.rg.blocks[k - 1]) - ngb[k]
+            return None if self._tree(k).restrict(s) else FINAL_CHECK_FAIL
+        for k in partials:
+            code = self._role_constraint(w, k, ngb[k], any(k1 == k for k1, _ in pairs),
+                                         any(k2 == k for _, k2 in pairs))
+            if code is not None:
+                return code
+        return None
 
     # .. nonprobes shared with other components ..
 
@@ -269,28 +257,22 @@ class _CompState:
             return CASE4
         # past the eaten blocks at an end, c is the only partial allowed here
         seq = self.bcs.seq
-        ends = []  # (marker, c) for each end this nonprobe can eat
-        for mark, z, step, pos in ((MARK_LEFT, self.first, 1, self.bcs.L),
-                                   (MARK_RIGHT, self.last, -1, self.bcs.R)):
+        fits = []  # can w eat the left end, the right end?
+        for z, step, pos in ((self.first, 1, self.bcs.L), (self.last, -1, self.bcs.R)):
             while fw.get(seq[z - 1], 0) == 1:
                 z += step
             c = seq[z - 1] if seq[z - 1] in fw else None
-            if set(partials) <= {c} and all(k == c or (pos[k] - z) * step < 0 for k in fw):
-                ends.append((mark, c))
-        if not ends:
+            fits.append(set(partials) <= {c} and all(k == c or (pos[k] - z) * step < 0 for k in fw))
+        left, right = fits
+        if not (left or right):
             return FINAL_CHECK_FAIL
         self.boundary_ws.append((w, frozenset(nbrs)))
-        mark, c = ends[0]
-        if c is None or len(self.rg.blocks[c - 1]) == 1:
+        if not partials:
             return None
-        if len(ends) == 1:
-            return None if self._flush(c, ngb[c], mark) else FINAL_CHECK_FAIL
-        # both ends admissible: c delimits both, and its flush direction is a
-        # real choice; resolve_circular makes it for all the boundary sets of
-        # a complete component at once
-        if self.t > 1:
-            self.deferred.append((w, c, frozenset(ngb[c])))
-        return None
+        # eating the left end, the partial block is the window's last block
+        # here; eating the right end, its first
+        c = partials[0]
+        return self._role_constraint(w, c, ngb[c], first=right, last=left)
 
     # .. choice resolution ..
 

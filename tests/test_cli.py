@@ -1,8 +1,12 @@
 """End-to-end runs through the argument parser; nothing here shells out."""
 
+import io
+from pathlib import Path
+
 import pytest
 
 from ptpig import serialize_tagged_graph, tagged_graph
+from ptpig import cli
 from ptpig.cli import main
 
 from .conftest import C4_CERT, C4_EDGES, EX33_EDGES, EX36_EDGES, G1_EDGES, TABLE_CERT
@@ -51,6 +55,29 @@ def test_recognize_hostile_header(tmp_path, capsys):
     big.write_text("ptpig 100000000 0\n", encoding="utf-8")
     assert main(["recognize", str(big)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_recognize_oversized_input(tmp_path, capsys, monkeypatch):
+    # past the cap the file is refused after reading one byte more than it
+    path = write_graph(tmp_path, "a.txt", 8, 6, EX36_EDGES)
+    size = Path(path).stat().st_size
+    reads = []
+
+    class Recording(io.BytesIO):
+        def read(self, n=-1):
+            reads.append(n)
+            return super().read(n)
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: Recording(Path(path).read_bytes()),
+                        raising=False)
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size - 1)
+    assert main(["recognize", path]) == 2
+    assert reads == [size]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path}: longer than {size - 1} bytes"]
+    monkeypatch.setattr(cli, "MAX_INPUT_BYTES", size)
+    assert main(["recognize", path]) == 0
+    assert capsys.readouterr().out == "ACCEPT\n"
 
 
 def test_certify_stdout_golden(tmp_path, capsys):

@@ -51,6 +51,14 @@ def test_parse_out_of_range_rejected():
         parse_tagged_graph("ptpig 2 1\ne 1 4\n")
 
 
+def test_input_cap(monkeypatch):
+    text = "ptpig 2 0\ne 1 2\n"
+    monkeypatch.setattr("ptpig.graph.MAX_INPUT_BYTES", len(text))
+    assert parse_tagged_graph(text).edge_count == 1
+    with pytest.raises(GraphFormatError, match=f"longer than {len(text)} bytes"):
+        parse_tagged_graph(text + "\n")
+
+
 def test_duplicate_edges_collapse():
     g = tagged_graph(3, 0, [(1, 2), (2, 1), (1, 2)])
     assert g.edge_count == 1

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptpig import (
-    OracleBudget,
     OracleBudgetExceeded,
     oracle_recognize,
     probe_subgraph,
@@ -40,8 +39,7 @@ def test_verdict_goldens(ex36, ex33):
 
 def test_budget_exceeded():
     with pytest.raises(OracleBudgetExceeded):
-        oracle_recognize(tagged_graph(9, 0, [(i, i + 1) for i in range(1, 9)]),
-                         OracleBudget(max_universe=8))
+        oracle_recognize(tagged_graph(9, 0, [(i, i + 1) for i in range(1, 9)]))
 
 
 def test_relabeling_nonprobes_is_invisible():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 
@@ -22,6 +23,7 @@ from ptpig import (
     two_stretch_filter,
     verify_certificate,
 )
+from ptpig.proper import _proper_order, _stair
 from ptpig.recognize import _CompState, block_classes, block_window_candidates
 
 from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack
@@ -93,13 +95,12 @@ def test_block_neighbor_classes(ex36):
 
 def test_block_window_candidates():
     bcs = sequence_from_iterable((1, 2, 1, 3, 2, 3))
-    got = block_window_candidates(bcs, {1: 2, 2: 1, 3: 2})
-    assert got == [(1, 3, 1, 4), (1, 3, 1, 6), (1, 3, 3, 6)]
-    assert {(k1, k2) for k1, k2, _, _ in got} == {(1, 3)}
-
-    single = block_window_candidates(sequence_from_iterable((1, 1)), {1: 2})
-    assert single == [(1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 2)]
-    assert block_window_candidates(bcs, {}) == []
+    assert block_window_candidates(bcs, {1: 2, 2: 1, 3: 2}) == {(1, 3)}
+    # two partial blocks that read 1 3 at positions 1-2 and 3 1 at 3-4
+    both = block_window_candidates(sequence_from_iterable((1, 3, 3, 1)), {1: 2, 3: 2})
+    assert both == {(1, 3), (3, 1)}
+    assert block_window_candidates(sequence_from_iterable((1, 1)), {1: 2}) == {(1, 1)}
+    assert block_window_candidates(bcs, {}) == set()
 
 
 def reference_block_windows(seq, fw):
@@ -126,8 +127,115 @@ def test_block_window_candidates_match_reference(case, data):
     partial = data.draw(st.sets(st.sampled_from(sorted(blocks)), min_size=1))
     fw = {k: 2 if k in partial else 1 for k in blocks}
     got = block_window_candidates(bcs, fw)
-    assert len(got) == len(set(got))
-    assert set(got) == reference_block_windows(bcs.seq, fw)
+    assert got == {(k1, k2) for k1, k2, _, _ in reference_block_windows(bcs.seq, fw)}
+    if len(partial) == 2:  # both partial blocks end every window
+        assert all(k1 != k2 for k1, k2 in got)
+
+
+# -- the role table -----------------------------------------------------------
+
+
+def _component_state(p, edges):
+    """The _CompState of a connected probe graph on 1..p."""
+    rg = compute_blocks(probe_subgraph(tagged_graph(p, 0, edges)))
+    qc = connected_components(rg.quotient)
+    assert qc.r == 1
+    border, upper = _proper_order(rg.quotient, qc)
+    return _CompState(rg, _stair(border, upper), border, 0, p)
+
+
+def _chain_state(groups):
+    """Twin blocks given as vertex groups, each joined completely to the
+    next: the blocks are the groups, in this order up to reversal."""
+    edges = set()
+    for i, grp in enumerate(groups):
+        nxt = groups[i + 1] if i + 1 < len(groups) else ()
+        edges.update((min(a, b), max(a, b)) for a in grp for b in (*grp, *nxt) if a != b)
+    return _component_state(sum(map(len, groups)), edges)
+
+
+# the block stair sequences read 1 2 1 3 2 3 (ENDS, MIDDLE), 3 2 3 1 2 4 1 4
+# (ENDS_PLUS) and 2 1 2 3 1 3 (FLIPPED)
+ENDS = [(1, 2, 3), (4,), (5, 6, 7)]  # blocks 1 = {1, 2, 3}, 2 = {4}, 3 = {5, 6, 7}
+MIDDLE = [(1,), (2, 3, 4), (5,)]  # block 2 = {2, 3, 4}
+ENDS_PLUS = [(8,), (1, 2, 3), (4,), (5, 6, 7)]  # block 1 = {1, 2, 3} now sits right
+FLIPPED = [(4, 5, 6), (1, 2, 3), (7,)]  # block 2 = {4, 5, 6} sits left of block 1
+
+# (row, chain, w's neighbours, window pairs, deferred entries, block trees);
+# w is the nonprobe p + 1
+LOCAL_ROWS = [
+    ("first-only", ENDS, {3, 4, 5, 6, 7}, {(1, 2), (1, 3)}, [], {1: "Q(⊢ P(1 2) 3 ⊣)"}),
+    ("last-only", ENDS, {1, 2, 3, 4, 5}, {(2, 3), (1, 3)}, [], {3: "Q(⊢ 5 P(6 7) ⊣)"}),
+    ("first-or-last", MIDDLE, {4, 5}, {(2, 3), (3, 2)}, [(6, 2, {4})], {}),
+    ("spanning-k-to-k", ENDS, {3, 4}, {(1, 1), (1, 2), (2, 1)}, [], {1: "Q(⊢ P(3 P(1 2)) ⊣)"}),
+    ("inside-one-occurrence", ENDS, {2, 3}, {(1, 1)}, [], {1: "Q(⊢ P(1 P(2 3)) ⊣)"}),
+    ("two-forward", ENDS, {3, 4, 5}, {(1, 3)}, [],
+     {1: "Q(⊢ P(1 2) 3 ⊣)", 3: "Q(⊢ 5 P(6 7) ⊣)"}),
+    ("two-backward", ENDS_PLUS, {3, 4, 5}, {(3, 1)}, [],
+     {1: "Q(⊢ 3 P(1 2) ⊣)", 3: "Q(⊢ P(6 7) 5 ⊣)"}),
+    ("two-both-ways", FLIPPED, {3, 6}, {(1, 2), (2, 1)}, [(8, 1, {3}), (8, 2, {6})], {}),
+]
+
+
+@pytest.mark.parametrize("row,groups,nbrs,pairs,deferred,trees", LOCAL_ROWS,
+                         ids=[r[0] for r in LOCAL_ROWS])
+def test_local_role_table(row, groups, nbrs, pairs, deferred, trees):
+    state = _chain_state(groups)
+    w = state.size + 1
+    assert block_window_candidates(state.bcs, block_classes(state.rg, nbrs)[1]) == pairs
+    assert state.constrain_local(w, frozenset(nbrs)) is None
+    assert state.deferred == deferred
+    assert {k: tree.serialize() for k, tree in state.trees.items()} == trees
+
+
+# eating the left end, the partial block is the window's last block there,
+# so its neighbours form a prefix; eating the right end, a suffix
+BOUNDARY_ROWS = [
+    ("left-end", ENDS, {1, 2, 3, 4, 5}, {3: "Q(⊢ 5 P(6 7) ⊣)"}),
+    ("right-end", ENDS, {3, 4, 5, 6, 7}, {1: "Q(⊢ P(1 2) 3 ⊣)"}),
+    ("right-end-middle", MIDDLE, {4, 5}, {2: "Q(⊢ P(2 3) 4 ⊣)"}),
+    # a complete component: resolve_circular reads the boundary set itself
+    ("both-ends-one-block", [(1, 2, 3)], {3}, {}),
+]
+
+
+@pytest.mark.parametrize("row,groups,nbrs,trees", BOUNDARY_ROWS,
+                         ids=[r[0] for r in BOUNDARY_ROWS])
+def test_boundary_role_table(row, groups, nbrs, trees):
+    state = _chain_state(groups)
+    assert state.constrain_boundary(state.size + 1, frozenset(nbrs)) is None
+    assert state.deferred == []
+    assert {k: tree.serialize() for k, tree in state.trees.items()} == trees
+    assert state.boundary_ws == [(state.size + 1, frozenset(nbrs))]
+
+
+@st.composite
+def proper_components(draw, max_p=7):
+    """A connected proper interval graph: intervals of one length whose left
+    ends, in order, are at most that length apart, under random labels."""
+    p = draw(st.integers(2, max_p))
+    length = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.integers(0, length), min_size=p - 1, max_size=p - 1))
+    los = [sum(gaps[:i]) for i in range(p)]
+    label = draw(st.permutations(range(1, p + 1)))
+    edges = [(label[i], label[j]) for i in range(p) for j in range(i + 1, p)
+             if los[j] - los[i] <= length]
+    return p, edges
+
+
+@given(proper_components())
+@settings(max_examples=150, deadline=None)
+def test_boundary_sets_eat_both_ends_only_of_one_block(case):
+    # both ends admit a boundary set only when its partial block c holds
+    # every other block of the set inside the stair sequence: such a block
+    # contains c strictly, which a proper ordering rules out unless c is
+    # the whole component.  So no boundary set queues an either-end flush.
+    p, edges = case
+    for r in range(1, p):
+        for nbrs in itertools.combinations(range(1, p + 1), r):
+            state = _component_state(p, edges)
+            state.constrain_boundary(p + 1, frozenset(nbrs))
+            assert state.deferred == []
 
 
 # -- golden verdicts -----------------------------------------------------------
