@@ -165,8 +165,11 @@ def _cmd_gen(args) -> int:
 
 
 def run_bench(sizes, seed: int) -> BenchReport:
-    """Plant one instance per size and take the median of 5 recognize runs."""
-    rows = []
+    """Plant one instance per size, then time recognize on every size in
+    turn, 5 rounds, and take each size's median.  Interleaved rounds spread
+    a change in the machine's load over every size alike, where timing one
+    size after another would tilt the slope."""
+    graphs = []
     for n in sizes:
         q = n // 6
         p = n - q
@@ -174,14 +177,17 @@ def run_bench(sizes, seed: int) -> BenchReport:
             GenSpec(probes=p, nonprobes=q, seed=seed + n, overlap=0.3,
                     span=min(1.0, 3.5 / (2 * p)))
         )
-        samples = []
-        for _ in range(5):
+        graphs.append(g)
+    samples = [[] for _ in graphs]
+    for _ in range(5):
+        for n, g, times in zip(sizes, graphs, samples):
             t0 = time.perf_counter()
             res = recognize(g)
-            samples.append(time.perf_counter() - t0)
-        if not res.accepted:  # planted instances are yes-instances
-            raise RuntimeError(f"bench instance of size {n} rejected: {res.reason}")
-        rows.append(BenchRow(size=g.n + g.edge_count, seconds=statistics.median(samples)))
+            times.append(time.perf_counter() - t0)
+            if not res.accepted:  # planted instances are yes-instances
+                raise RuntimeError(f"bench instance of size {n} rejected: {res.reason}")
+    rows = [BenchRow(size=g.n + g.edge_count, seconds=statistics.median(times))
+            for g, times in zip(graphs, samples)]
     slope = None
     if len(rows) > 1:
         xs = [math.log(r.size) for r in rows]

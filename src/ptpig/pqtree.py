@@ -10,8 +10,15 @@ every pertinent P-node, root or not, and adds new children at the full end
 of a partial Q-node, so no Q-node is ever reversed.  Two reserved marker
 leaves, pinned to the ends, let a plain ``restrict`` flush a set to one end
 or, with its complement, to either end; ``PQTree.pinned`` builds such a tree
-in that shape at once.
+in that shape at once.  ``PQTree.paired`` builds the tree in which pairs of
+leaves are each consecutive, P(P(a₁ b₁) … P(aᵣ bᵣ)), at once too.
 
+A reduction keeps its state on the nodes, as Booth and Lueker's does: each
+pertinent node's pertinent children, its count of pertinent leaves, the
+children still to be counted and its full or partial mark are fields of
+the node, valid only under the stamp that the call wrote there.  Stamps
+come from one counter for every tree, so a field that an earlier or failed
+call left behind, in this tree or in a clone it adopted, is never read.
 A successful ``restrict`` costs O(|s| + depth), plus the length of the
 shorter partial child spliced into the longer at a P-node root and of each
 partial Q-node dissolved into its Q-node parent.  A failed ``restrict``
@@ -23,10 +30,16 @@ name.
 
 from __future__ import annotations
 
+from itertools import count
+
 MARK_LEFT = "⊢"
 MARK_RIGHT = "⊣"
 
 _FULL = "F"
+
+# restrict stamps: one sequence shared by every tree, because orestrict
+# adopts the nodes of a clone that another stamp has already touched
+_stamps = count(1)
 
 
 class _Node:
@@ -39,6 +52,13 @@ class _Node:
         "lsib",
         "rsib",
         "child_count",
+        # a restrict's state, read only under the stamp of the call that
+        # wrote it
+        "stamp",  # the last restrict that reached this node
+        "pert",  # pertinent children, in order of first reach
+        "count",  # pertinent leaves below
+        "waiting",  # pertinent children not yet counted
+        "mark",  # _FULL, or (side of the full end, node standing in the tree)
     )
 
     def __init__(self, kind, label=None):
@@ -50,6 +70,10 @@ class _Node:
         self.lsib = None
         self.rsib = None
         self.child_count = 0
+        self.stamp = 0
+        # a pertinent leaf is always one full leaf, so its fields never change
+        self.count = 1 if kind == "L" else 0
+        self.mark = _FULL if kind == "L" else None
 
     def children(self) -> list["_Node"]:
         out = []
@@ -138,6 +162,17 @@ class PQTree:
         tree._root = _make("Q", [leaf[MARK_LEFT], _group([leaf[x] for x in members]), leaf[MARK_RIGHT]])
         return tree
 
+    @classmethod
+    def paired(cls, pairs) -> "PQTree":
+        """P(P(a₁ b₁) … P(aᵣ bᵣ)), or P(a₁ b₁) for one pair:
+        PQTree((a₁, b₁, …, aᵣ, bᵣ)) after restricting each pair in turn,
+        built at once."""
+        tree = cls.__new__(cls)
+        tree._index([x for pair in pairs for x in pair])
+        leaf = tree._leaf
+        tree._root = _group([_make("P", [leaf[a], leaf[b]]) for a, b in pairs])
+        return tree
+
     # -- structural edits ------------------------------------------------
 
     def _replace_child(self, parent, old: _Node, new: _Node) -> None:
@@ -209,50 +244,49 @@ class PQTree:
         # reached, so only the first walk goes on to the root.  Stable leaf
         # order: frozenset iteration follows hash order, which is randomized
         # per process for str labels and would leak into layouts.
+        stamp = next(_stamps)
         leaves = [self._leaf[x] for x in sorted(sset, key=self._rank.__getitem__)]
-        pert_children: dict[_Node, list[_Node]] = {}
         for node in leaves:
+            node.stamp = stamp
             while (par := node.parent) is not None:
-                if par in pert_children:
-                    pert_children[par].append(node)
+                if par.stamp == stamp:
+                    par.pert.append(node)
+                    par.waiting += 1
                     break
-                pert_children[par] = [node]
+                par.stamp = stamp
+                par.pert = [node]
+                par.count = 0
+                par.waiting = 1
                 node = par
 
         # Children before parents: a node is ready once all its pertinent
         # children are; the first to hold all of s is the pertinent root.
-        count = dict.fromkeys(leaves, 1)
-        waiting = {n: len(kids) for n, kids in pert_children.items()}
         agenda = list(leaves)
         for node in agenda:
-            if count[node] == size:
+            if node.count == size:
                 break
             par = node.parent
-            count[par] = count.get(par, 0) + count[node]
-            waiting[par] -= 1
-            if not waiting[par]:
+            par.count += node.count
+            par.waiting -= 1
+            if not par.waiting:
                 agenda.append(par)
         pert_root = node
         del agenda[: len(leaves)]
 
-        labels: dict[_Node, object] = {lf: _FULL for lf in leaves}
-        replaced: dict[_Node, _Node] = {}
         pseudos: list[_Node] = []
 
         for node in agenda:
             is_root = node is pert_root
-            fulls: list[_Node] = []
-            partials: list[_Node] = []
-            for c in pert_children[node]:
-                c = replaced.get(c, c)
-                if labels[c] is _FULL:
-                    fulls.append(c)
-                else:
-                    partials.append(c)
-
             if node.kind == "P":
+                fulls: list[_Node] = []
+                partials: list[tuple] = []  # their marks
+                for c in node.pert:
+                    if c.mark is _FULL:
+                        fulls.append(c)
+                    else:
+                        partials.append(c.mark)
                 if not partials and len(fulls) == node.child_count:
-                    labels[node] = _FULL  # wholly pertinent subtree
+                    node.mark = _FULL  # wholly pertinent subtree
                     continue
                 if len(partials) > 1 + is_root:
                     return False
@@ -260,22 +294,22 @@ class PQTree:
                 # only the shorter one is walked; with none, a transient Q
                 for f in fulls:
                     _unlink(node, f)
-                if len(partials) == 2 and partials[1].child_count > partials[0].child_count:
+                if len(partials) == 2 and partials[1][1].child_count > partials[0][1].child_count:
                     partials.reverse()
                 if partials:
-                    c = partials[0]
-                    side = labels[c][1]
+                    side, c = partials[0]
                 else:
                     c = _Node("Q")
+                    c.stamp = stamp  # it stands in for node
                     side = 1
                     pseudos.append(c)
                 if fulls:
                     _attach(c, _group(fulls), side)
                 if len(partials) == 2:
-                    c2 = partials[1]
+                    side2, c2 = partials[1]
                     _unlink(node, c2)
                     kids = c2.children()
-                    if labels[c2][1]:  # full end first
+                    if side2:  # full end first
                         kids.reverse()
                     for k in kids:
                         _attach(c, k, side)
@@ -298,19 +332,20 @@ class PQTree:
                 self._replace_child(node.parent, node, c)
                 if egrp is not None:
                     _attach(c, egrp, not side)
-                labels[c] = ("P", side)
-                replaced[node] = c
+                # c stands in the tree for node, and its parent reads node
+                node.mark = c.mark = (side, c)
                 continue
 
-            # Q-node: pertinent children must form one contiguous run
-            pert = [replaced.get(c, c) for c in pert_children[node]]
-            pset = set(map(id, pert))
-            c0 = pert[0]
+            # Q-node: pertinent children must form one contiguous run; a
+            # child is pertinent iff this call reached it or stands in for one
+            c0 = node.pert[0]
+            if c0.mark is not _FULL:
+                c0 = c0.mark[1]
             left = c0
-            while left.lsib is not None and id(left.lsib) in pset:
+            while left.lsib is not None and left.lsib.stamp == stamp:
                 left = left.lsib
             right = c0
-            while right.rsib is not None and id(right.rsib) in pset:
+            while right.rsib is not None and right.rsib.stamp == stamp:
                 right = right.rsib
             run = []
             c = left
@@ -319,13 +354,13 @@ class PQTree:
                 if c is right:
                     break
                 c = c.rsib
-            if len(run) != len(pert):
+            if len(run) != len(node.pert):
                 return False
-            run_partial = [i for i, c in enumerate(run) if labels[c] is not _FULL]
+            run_partial = [i for i, c in enumerate(run) if c.mark is not _FULL]
 
             if not is_root:
                 if not run_partial and len(run) == node.child_count:
-                    labels[node] = _FULL
+                    node.mark = _FULL
                     continue
                 if len(run_partial) > 1:
                     return False
@@ -335,18 +370,18 @@ class PQTree:
                     i = run_partial[0]
                     cp = run[i]
                     if at_tail and i == 0:
-                        self._q_dissolve(node, cp, True, labels[cp][1])
-                        labels[node] = ("P", 1)
+                        self._q_dissolve(node, cp, True, cp.mark[0])
+                        node.mark = (1, node)
                     elif at_head and i == len(run) - 1:
-                        self._q_dissolve(node, cp, False, labels[cp][1])
-                        labels[node] = ("P", 0)
+                        self._q_dissolve(node, cp, False, cp.mark[0])
+                        node.mark = (0, node)
                     else:
                         return False
                 else:
                     if at_tail:
-                        labels[node] = ("P", 1)
+                        node.mark = (1, node)
                     elif at_head:
-                        labels[node] = ("P", 0)
+                        node.mark = (0, node)
                     else:
                         return False
                 continue
@@ -359,10 +394,10 @@ class PQTree:
                     return False
             if last_i in run_partial and last_i != 0:
                 cp = run[last_i]
-                self._q_dissolve(node, cp, False, labels[cp][1])
+                self._q_dissolve(node, cp, False, cp.mark[0])
             if 0 in run_partial:
                 cp = run[0]
-                self._q_dissolve(node, cp, True, labels[cp][1])
+                self._q_dissolve(node, cp, True, cp.mark[0])
 
         # transient Q-nodes that survived with two children become P-nodes;
         # one child is the root's group of fulls, which stands for itself

@@ -523,9 +523,7 @@ def _arrange_components(states: dict, multi_ws: list):
     """
     if not multi_ws:
         return [(ci, False) for ci in states]
-    tree = PQTree(tuple((side, ci) for ci in states for side in ("L", "R")))
-    for ci in states:
-        tree.restrict({("L", ci), ("R", ci)})
+    tree = PQTree.paired([(("L", ci), ("R", ci)) for ci in states])
     for w, touched in multi_ws:
         tset = set()
         for ci, us in touched.items():

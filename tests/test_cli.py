@@ -214,6 +214,28 @@ def test_bench_single_size(capsys):
     assert out[1] == "slope undefined (single size)"
 
 
+def test_bench_plants_every_size_then_times_them_in_turn(monkeypatch):
+    # a load change part way through should reach every size alike, so no
+    # size is timed twice before every size is timed once
+    events = []
+    generate, recognize = cli.generate, cli.recognize
+
+    def planting(spec):
+        events.append(("plant", spec.probes + spec.nonprobes))
+        return generate(spec)
+
+    def timing(g):
+        events.append(("time", g.n))
+        return recognize(g)
+
+    monkeypatch.setattr(cli, "generate", planting)
+    monkeypatch.setattr(cli, "recognize", timing)
+    sizes = (300, 400, 500)
+    rep = cli.run_bench(sizes, seed=1)
+    assert events == [("plant", n) for n in sizes] + [("time", n) for n in sizes] * 5
+    assert len(rep.rows) == 3 and rep.slope is not None
+
+
 def test_bench_rejects_unsorted_sizes(capsys):
     assert main(["bench", "--sizes", "400,300"]) == 2
 

@@ -230,6 +230,30 @@ def test_pinned_tree_matches_two_restricts():
             assert frontier_set(pinned) == frontier_set(t)
 
 
+def test_paired_tree_matches_pair_restricts():
+    # the component-arrangement tree, built directly, is the tree that
+    # restricting each marker pair in turn reaches, and it goes on to take
+    # the same restricts the same way
+    assert PQTree.paired([(1, 2), ("a", "b")]).serialize() == "P(P(1 2) P(a b))"
+    assert PQTree.paired([(1, 2)]).serialize() == "P(1 2)"
+    for r in range(2, 41):
+        pairs = [(("L", i), ("R", i)) for i in range(r)]
+        paired = PQTree.paired(pairs)
+        _check_links(paired)
+        t = PQTree([x for pair in pairs for x in pair])
+        for pair in pairs:
+            assert t.restrict(set(pair))
+        assert paired.serialize() == t.serialize()
+        for s in ({("R", 0), ("L", r - 1)}, {("R", r - 1), ("L", 1), ("R", 1)},
+                  {("L", 0), ("R", 0), ("L", r // 2)}):
+            ok = paired.restrict(s)
+            assert ok == t.restrict(s)
+            if not ok:
+                break
+            assert paired.serialize() == t.serialize()
+            _check_links(paired)
+
+
 def test_partial_q_grows_at_its_full_end():
     # each new child goes in at the full end of a partial Q-node, whichever
     # end that is, so the Q-node keeps the way it reads
@@ -420,6 +444,67 @@ def test_restrict_is_monotone(case):
         nxt = frontier_set(t, 50000)
         assert nxt <= admissible
         admissible = nxt
+
+
+def _restrict_run(tree, sets):
+    """Each restrict's result and the tree it leaves, up to the first
+    failure, which spends the tree."""
+    out = []
+    for s in sets:
+        ok = tree.restrict(s)
+        out.append((ok, tree.serialize() if ok else None))
+        if not ok:
+            break
+        _check_links(tree)
+    return out
+
+
+@given(restriction_sequences(), restriction_sequences(), st.lists(st.booleans(), max_size=14))
+@settings(max_examples=100, deadline=None)
+def test_interleaved_restricts_keep_each_tree_apart(case_a, case_b, turns):
+    # two trees restricted by turns read every stamp from one counter; each
+    # must end up as it does when restricted alone
+    alone = [_restrict_run(PQTree(u), sets) for u, sets in (case_a, case_b)]
+    trees = [PQTree(case_a[0]), PQTree(case_b[0])]
+    todo = [list(case_a[1]), list(case_b[1])]
+    got: list[list] = [[], []]
+    for i in [int(x) for x in turns] + [0] * len(todo[0]) + [1] * len(todo[1]):
+        if not todo[i] or (got[i] and not got[i][-1][0]):
+            continue
+        got[i] += _restrict_run(trees[i], [todo[i].pop(0)])
+    assert got == alone
+
+
+@st.composite
+def adoptions(draw):
+    universe = draw(label_universe)
+    a, b = draw(st.lists(st.sampled_from(universe), min_size=2, max_size=2, unique=True))
+    rest = [x for x in universe if x not in (a, b)]
+    s = frozenset(draw(st.sets(st.sampled_from(rest), min_size=1, max_size=len(rest))))
+    sets = st.frozensets(st.sampled_from(universe), min_size=2, max_size=len(universe))
+    return (universe, draw(st.lists(sets, max_size=3)), s, a, b,
+            draw(st.lists(sets, min_size=1, max_size=5)))
+
+
+@given(adoptions())
+@settings(max_examples=150, deadline=None)
+def test_tree_that_adopted_a_clone_restricts_like_a_fresh_one(case):
+    # orestrict adopts the nodes of a clone that its probe restrict already
+    # stamped, so later stamps on this tree must never repeat that one
+    universe, before, s, a, b, after = case
+    t = PQTree(universe)
+    if not all(t.restrict(x) for x in before):
+        return
+    branch = t.orestrict(s, a, b)
+    if not branch:
+        return
+    _check_links(t)
+    fresh = PQTree(universe)
+    for x in before:
+        assert fresh.restrict(x)
+    assert fresh.restrict(s | {a if branch == 1 else b})
+    assert fresh.serialize() == t.serialize()
+    assert _restrict_run(t, after) == _restrict_run(fresh, after)
 
 
 @st.composite
