@@ -89,7 +89,8 @@ def tagged_graph(p: int, q: int, edges) -> TaggedGraph:
     count = 0
     for u, v in edges:
         if not (1 <= u <= n) or not (1 <= v <= n):
-            raise GraphFormatError(f"vertex {max(u, v)} out of range (n={n})")
+            bad = u if not (1 <= u <= n) else v
+            raise GraphFormatError(f"vertex {bad} out of range (n={n})")
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}")
         if v not in nbr[u]:
@@ -135,9 +136,8 @@ def parse_tagged_graph(text: str) -> TaggedGraph:
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
         if not (1 <= u <= p + q) or not (1 <= v <= p + q):
-            raise GraphFormatError(
-                f"line {lineno}: vertex {max(u, v)} out of range (n={p + q})"
-            )
+            bad = u if not (1 <= u <= p + q) else v
+            raise GraphFormatError(f"line {lineno}: vertex {bad} out of range (n={p + q})")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         edges.append((u, v))

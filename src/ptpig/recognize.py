@@ -13,8 +13,11 @@ only its neighbors and each neighbor at least once.  One pipeline:
      sequence per nonprobe, then settle the component's vertex sequence;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
-  5. one final pass finds every nonprobe's window and builds the interval
-     certificate from them.
+  5. the components' settled sequences, offset and mirrored as arranged,
+     make the final sequence; every nonprobe confined to one component
+     keeps the window found for it while deciding, and only nonprobes that
+     cross components are searched for once more, to build the interval
+     certificate.
 
 Rejections carry a machine-readable reason code and, where meaningful, a
 witness nonprobe.
@@ -91,6 +94,23 @@ def perfect_substring_bounds(cs: CanonicalSequence, nbrs):
                 return lo, hi
             start = i
     return None
+
+
+def _last_run(cs: CanonicalSequence, nbrs, lo: int, hi: int):
+    """The last perfect run of nbrs in cs, given the first, (lo, hi).
+
+    A perfect run holds all d = |nbrs| neighbours, so it takes at least d of
+    their 2d positions and there are at most two runs.  A second one exists
+    only when the first takes exactly d positions; it is then made of the
+    other occurrences, when those are consecutive.  O(d), no sort.
+    """
+    d = len(nbrs)
+    if hi - lo + 1 > d:
+        return lo, hi
+    L, R = cs.L, cs.R
+    rest = [R[u] if L[u] >= lo else L[u] for u in nbrs]
+    a, b = min(rest), max(rest)
+    return (a, b) if b - a == d - 1 else (lo, hi)
 
 
 def check_perfect_substrings(g: TaggedGraph, cs: CanonicalSequence):
@@ -188,6 +208,10 @@ class _CompState:
         self.cut: tuple | None = None  # block order of a complete component
         self.vcs: CanonicalSequence | None = None
         self.sides: dict = {}  # w -> the end of the settled sequence it eats
+        # nbrs -> leftmost window of a local nonprobe: in bcs for whole-block
+        # ones until settle, then in vcs for every one, then after place in
+        # the final sequence
+        self.windows: dict = {}
 
     def _tree(self, k: int) -> PQTree:
         """Block k's tree: its vertices between the two end markers."""
@@ -221,9 +245,15 @@ class _CompState:
         partials = sorted(k for k in fw if fw[k] == 2)
         if not partials:
             # a window over whole blocks is a perfect substring of the block
-            # sequence, whatever the orders inside the blocks
-            if self.t > 1 and perfect_substring_bounds(self.bcs, frozenset(fw)) is None:
-                return B1_FAIL
+            # sequence, whatever the orders inside the blocks; seeing the
+            # only block, it is the whole component
+            if self.t == 1:
+                got = (self.first, self.last)
+            else:
+                got = perfect_substring_bounds(self.bcs, frozenset(fw))
+                if got is None:
+                    return B1_FAIL
+            self.windows[nbrs] = got
             return None
         # the window depends on the orders inside blocks; settle checks it
         self.window_ws.append((w, nbrs))
@@ -358,6 +388,12 @@ class _CompState:
         validating the window of every local nonprobe that meets a block
         partially, and every boundary nonprobe end, against the expanded
         sequence.  Returns None on success, else a witness.
+
+        The settled sequence keeps every local nonprobe's leftmost window:
+        the one found here, or its block window expanded through the block
+        orders.  A run of whole neighbour blocks is a run of neighbour
+        vertices, and the leftmost at block level is the leftmost at vertex
+        level.
         """
         sigma = self._sigma()
         t = self.t
@@ -375,13 +411,16 @@ class _CompState:
             for k in self.bcs.seq[self.first - 1:self.last]:
                 seq.extend(perms[k])
             vcs = sequence_from_iterable(seq)
+            found: dict = {}  # windows of the nonprobes in window_ws
             ok = True
             for w, nbrs in self.window_ws:
-                if perfect_substring_bounds(vcs, nbrs) is None:
+                got = perfect_substring_bounds(vcs, nbrs)
+                if got is None:
                     ok = False
                     if witness is None:
                         witness = w
                     break
+                found[nbrs] = got
             sides: dict = {}
             if ok:
                 for w, nbrs in self.boundary_ws:
@@ -393,10 +432,54 @@ class _CompState:
                         break
                     sides[w] = v
             if ok:
+                # an occurrence of block k holds perms[k] at the vertices'
+                # first positions when it is k's first occurrence, else at
+                # their second ones
+                bseq, bL = self.bcs.seq, self.bcs.L
+                windows = self.windows
+                for nbrs, (lo, hi) in windows.items():
+                    k, k2 = bseq[lo - 1], bseq[hi - 1]
+                    windows[nbrs] = ((vcs.L if lo == bL[k] else vcs.R)[perms[k][0]],
+                                     (vcs.L if hi == bL[k2] else vcs.R)[perms[k2][-1]])
+                windows.update(found)
                 self.vcs = vcs
                 self.sides = sides
                 return None
         return witness
+
+    def place(self, flipped: bool, seq: list, L: dict, R: dict, windows: dict) -> None:
+        """Append the settled sequence to the final one, seq, reversed when
+        the component is flipped, with its first and second positions in L
+        and R and the windows of its local nonprobes, by neighbourhood, in
+        windows.  Mirroring makes the last perfect run the leftmost, so a
+        flipped component gives each nonprobe its last run.
+
+        self.windows is rewritten in final positions rather than copied, so
+        the settled windows are freed here and the cyclic collector, which
+        counts live objects, runs no more often than without them.
+        """
+        vcs = self.vcs
+        off = len(seq)
+        own = self.windows
+        if flipped:
+            e = off + len(vcs.seq) + 1
+            seq.extend(reversed(vcs.seq))
+            L.update(zip(vcs.R, map(e.__sub__, vcs.R.values())))
+            R.update(zip(vcs.L, map(e.__sub__, vcs.L.values())))
+            for nbrs, (lo, hi) in own.items():
+                lo, hi = _last_run(vcs, nbrs, lo, hi)
+                own[nbrs] = (e - hi, e - lo)
+        elif off:
+            seq.extend(vcs.seq)
+            L.update(zip(vcs.L, map(off.__add__, vcs.L.values())))
+            R.update(zip(vcs.R, map(off.__add__, vcs.R.values())))
+            for nbrs, (lo, hi) in own.items():
+                own[nbrs] = (off + lo, off + hi)
+        else:  # the first component keeps its positions
+            seq.extend(vcs.seq)
+            L.update(vcs.L)
+            R.update(vcs.R)
+        windows.update(own)
 
 
 def _vertex_side(vcs: CanonicalSequence, nbrs) -> str | None:
@@ -499,12 +582,14 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     if isinstance(got, int):
         return _reject(MARKER_PQ_INFEASIBLE, witness=got)
     seq: list = []
+    L: dict = {}
+    R: dict = {}
+    windows: dict = {}  # neighbourhood -> window in the final sequence
     for ci, flipped in got:
-        s = states[ci].vcs.seq
-        seq.extend(reversed(s) if flipped else s)
-    cs = sequence_from_iterable(seq)
+        states[ci].place(flipped, seq, L, R, windows)
+    cs = CanonicalSequence(tuple(seq), L, R)
     try:
-        cert = build_certificate(g, cs)
+        cert = build_certificate(g, cs, windows)
     except MissingWindow as exc:
         return _reject(FINAL_CHECK_FAIL, witness=exc.witness)
     return RecognitionResult(True, sequence=cs, certificate=cert)
@@ -555,17 +640,22 @@ class MissingWindow(ValueError):
         self.witness = w
 
 
-def build_certificate(g: TaggedGraph, cs: CanonicalSequence) -> dict:
+def build_certificate(g: TaggedGraph, cs: CanonicalSequence, windows=None) -> dict:
     """Vertex -> (lo, hi) intervals realizing g from a perfect sequence.
 
     Probes read their two positions straight off the sequence; nonprobes get
     their (leftmost maximal) perfect substring, and isolated nonprobes park
-    one point each past every probe endpoint.  Raises MissingWindow for the
-    first nonprobe without a perfect substring in cs.
+    one point each past every probe endpoint.  windows maps a neighbourhood,
+    as a frozenset, to its leftmost perfect substring in cs where the
+    caller has found it already (recognize: every nonprobe confined to one
+    component); every other neighbourhood is searched for once, and twin
+    nonprobes share the result.  Raises MissingWindow for the first nonprobe
+    without a perfect substring in cs.
     """
     cert: dict = {}
     for v in range(1, g.p + 1):
         cert[v] = (cs.L[v], cs.R[v])
+    found = {} if windows is None else dict(windows)
     spare = 2 * g.p + 1
     for w in range(g.p + 1, g.n + 1):
         nbrs = g.adj[w]
@@ -573,9 +663,13 @@ def build_certificate(g: TaggedGraph, cs: CanonicalSequence) -> dict:
             cert[w] = (spare, spare)
             spare += 1
             continue
-        got = perfect_substring_bounds(cs, frozenset(nbrs))
+        nbrs = frozenset(nbrs)
+        got = found.get(nbrs)
         if got is None:
-            raise MissingWindow(w)
+            got = perfect_substring_bounds(cs, nbrs)
+            if got is None:
+                raise MissingWindow(w)
+            found[nbrs] = got
         cert[w] = got
     return cert
 

@@ -51,6 +51,15 @@ def test_parse_out_of_range_rejected():
         parse_tagged_graph("ptpig 2 1\ne 1 4\n")
 
 
+@pytest.mark.parametrize("u, v, bad", [(0, 2, 0), (2, 9, 9), (9, 0, 9)])
+def test_out_of_range_names_the_first_bad_endpoint(u, v, bad):
+    # the first endpoint out of range, not the larger one, which may be fine
+    with pytest.raises(GraphFormatError, match=f"^line 2: vertex {bad} out of range \\(n=4\\)$"):
+        parse_tagged_graph(f"ptpig 3 1\ne {u} {v}\n")
+    with pytest.raises(GraphFormatError, match=f"^vertex {bad} out of range \\(n=4\\)$"):
+        tagged_graph(3, 1, [(u, v)])
+
+
 def test_input_cap(monkeypatch):
     text = "ptpig 2 0\ne 1 2\n"
     monkeypatch.setattr("ptpig.graph.MAX_INPUT_BYTES", len(text))

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import random
 import time
@@ -27,6 +28,9 @@ from ptpig.proper import _proper_order, _stair
 from ptpig.recognize import _CompState, block_classes, block_window_candidates
 
 from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack
+
+# the module itself: the package's ``recognize`` attribute is the function
+REC = importlib.import_module("ptpig.recognize")
 
 
 # -- window primitives ---------------------------------------------------------
@@ -755,3 +759,100 @@ def test_output_digest():
         items = None if res.certificate is None else sorted(res.certificate.items())
         h.update(repr((res.accepted, res.reason, res.witness, res.edge, seq, items)).encode())
     assert h.hexdigest() == OUTPUT_DIGEST
+
+
+# -- each window found once ------------------------------------------------------
+
+
+def test_kept_windows_match_a_fresh_search(monkeypatch):
+    # windows found while deciding, offset into the final sequence and
+    # mirrored for a flipped component, are what a fresh search finds there,
+    # and the assembled sequence has the positions a fresh pass gives
+    arrange = REC._arrange_components
+    flipped = []
+
+    def spy(states, multi_ws):
+        got = arrange(states, multi_ws)
+        if not isinstance(got, int):
+            flipped.extend(f for _, f in got if f)
+        return got
+
+    monkeypatch.setattr(REC, "_arrange_components", spy)
+    rng = random.Random(20_161_014)
+    two_runs = degree_one = 0
+    for i in range(240):
+        if i % 4:
+            g, _ = _planted_components(rng, [rng.randint(1, 8) for _ in range(rng.randint(2, 6))])
+        else:
+            g, _ = generate(GenSpec(rng.randint(1, 60), rng.randint(0, 40), seed=rng.randrange(2**32),
+                                    overlap=rng.random(), span=rng.choice((0.02, 0.1, 0.4))))
+        res = recognize(g)
+        assert res.accepted
+        cs = res.sequence
+        fresh = sequence_from_iterable(cs.seq)
+        assert cs.L == fresh.L and cs.R == fresh.R
+        rev = sequence_from_iterable(reversed(cs.seq))
+        end = len(cs.seq) + 1
+        for w in range(g.p + 1, g.n + 1):
+            nbrs = frozenset(g.adj[w])
+            if not nbrs:
+                continue
+            first = perfect_substring_bounds(cs, nbrs)
+            assert res.certificate[w] == first
+            lo, hi = perfect_substring_bounds(rev, nbrs)
+            if (end - hi, end - lo) != first:
+                two_runs += 1
+                degree_one += len(nbrs) == 1
+    # the stream tells the first perfect run from the last
+    assert len(flipped) >= 50 and two_runs >= 1000 and degree_one >= 1000
+
+
+def _count_searches(monkeypatch) -> list:
+    """(inside build_certificate, nbrs) of every window search recognize makes."""
+    search, certify = REC.perfect_substring_bounds, REC.build_certificate
+    calls: list = []
+    inside = [False]
+
+    def counted(cs, nbrs):
+        calls.append((inside[0], nbrs))
+        return search(cs, nbrs)
+
+    def certifying(*args):
+        inside[0] = True
+        try:
+            return certify(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(REC, "perfect_substring_bounds", counted)
+    monkeypatch.setattr(REC, "build_certificate", certifying)
+    return calls
+
+
+def test_nested_clique_searches_each_window_once(monkeypatch):
+    # probes K_m, nonprobe w_k sees probes 1..k: the m - 1 partial windows are
+    # found once each while deciding, and w_m gets the whole component
+    m = 60
+    edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    edges += [(i, m + k) for k in range(1, m + 1) for i in range(1, k + 1)]
+    g = tagged_graph(m, m, edges)
+    calls = _count_searches(monkeypatch)
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert len(calls) == m - 1
+    assert res.certificate[2 * m] == (1, 2 * m)
+
+
+def test_certificate_searches_only_cross_component_windows(monkeypatch):
+    # path 1-2-3 and edge 4-5: nonprobes 6 ({1, 2}) and 8 ({5}) are local,
+    # 7 and its twin 9 ({3, 4}) cross the gap, 10 sees all of 4-5
+    edges = [(1, 2), (2, 3), (4, 5), (1, 6), (2, 6), (3, 7), (4, 7), (5, 8), (3, 9), (4, 9),
+             (4, 10), (5, 10)]
+    g = tagged_graph(5, 5, edges)
+    calls = _count_searches(monkeypatch)
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert [nbrs for inside, nbrs in calls if inside] == [frozenset({3, 4})]
+    cs = res.sequence
+    for w in range(6, 11):
+        assert res.certificate[w] == perfect_substring_bounds(cs, frozenset(g.adj[w]))
