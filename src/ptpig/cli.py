@@ -18,6 +18,7 @@ from pathlib import Path
 from .generate import GenSpec, generate
 from .graph import (
     MAX_INPUT_BYTES,
+    MAX_VERTICES,
     GraphFormatError,
     TaggedGraph,
     connected_components,
@@ -228,6 +229,8 @@ def _sizes_arg(text: str):
         raise argparse.ArgumentTypeError("expected comma-separated integers")
     if not sizes or any(n <= 0 for n in sizes):
         raise argparse.ArgumentTypeError("sizes must be positive")
+    if max(sizes) > MAX_VERTICES:
+        raise argparse.ArgumentTypeError(f"sizes must not exceed {MAX_VERTICES}")
     return sizes
 
 

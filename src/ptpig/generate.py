@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .graph import TaggedGraph, tagged_graph
+from .graph import MAX_VERTICES, TaggedGraph, tagged_graph
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,8 @@ class GenSpec:
     def __post_init__(self):
         if self.probes < 0 or self.nonprobes < 0 or self.perturb < 0:
             raise ValueError("counts must be non-negative")
+        if self.probes + self.nonprobes > MAX_VERTICES:
+            raise ValueError(f"more than {MAX_VERTICES} vertices")
         if not (0.0 <= self.overlap <= 1.0 and 0.0 <= self.span <= 1.0):
             raise ValueError("density factors must lie in [0, 1]")
 

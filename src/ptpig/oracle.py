@@ -21,13 +21,6 @@ from .graph import (
     validate_nonprobe_independence,
 )
 
-# orientation codes for consecutive-arrangement restrictions
-ORIENT_NONE = 0
-ORIENT_LEFT = -1
-ORIENT_RIGHT = 1
-ORIENT_EITHER = 2
-
-
 # Enumeration caps: vertices per permuted set (8! = 40,320 orderings), and
 # arrangement states tried across components.
 MAX_UNIVERSE = 8
@@ -182,38 +175,3 @@ def oracle_recognize(g: TaggedGraph) -> bool:
                 return True
     return False
 
-
-def brute_oriented_consecutive_ones(universe, rs):
-    """All orderings of universe satisfying every restriction literally.
-
-    rs is a list of (subset, orientation) pairs; orientation 0 demands the
-    subset be consecutive, -1/+1 additionally flushed to the left/right end,
-    and 2 flushed to either end.
-    """
-    elems = list(universe)
-    if len(elems) > MAX_UNIVERSE:
-        raise OracleBudgetExceeded(
-            f"universe of {len(elems)} exceeds the enumeration cap"
-        )
-    checks = [(frozenset(s), b) for s, b in rs]
-    out = set()
-    last = len(elems) - 1
-    for perm in permutations(elems):
-        ok = True
-        for s, b in checks:
-            ps = [i for i, x in enumerate(perm) if x in s]
-            if ps[-1] - ps[0] + 1 != len(ps):
-                ok = False
-                break
-            if b == ORIENT_LEFT and ps[0] != 0:
-                ok = False
-                break
-            if b == ORIENT_RIGHT and ps[-1] != last:
-                ok = False
-                break
-            if b == ORIENT_EITHER and ps[0] != 0 and ps[-1] != last:
-                ok = False
-                break
-        if ok:
-            out.add(perm)
-    return out

@@ -5,13 +5,14 @@ P-nodes and reversing children of Q-nodes.  Every internal node keeps its
 children in one doubly linked list; in a P-node it is just the order the
 frontier reads, and a child added there goes to the right end.  ``restrict``
 narrows the frontier set to the orders where a given subset is consecutive,
-by the templates of Booth and Lueker (JCSS 13, 1976): one template serves
-every pertinent P-node, root or not, and adds new children at the full end
-of a partial Q-node, so no Q-node is ever reversed.  Two reserved marker
-leaves, pinned to the ends, let a plain ``restrict`` flush a set to one end
-or, with its complement, to either end; ``PQTree.pinned`` builds such a tree
-in that shape at once.  ``PQTree.paired`` builds the tree in which pairs of
-leaves are each consecutive, P(P(a₁ b₁) … P(aᵣ bᵣ)), at once too.
+by the templates of Booth and Lueker (JCSS 13, 1976), one for each node
+kind, serving the pertinent root and the nodes below it alike.  New children
+go in at the full end of a partial Q-node, so no Q-node is ever reversed,
+and a P root builds no transient Q-node.  Two reserved marker leaves, pinned
+to the ends, let a plain ``restrict`` flush a set to one end or, with its
+complement, to either end; ``PQTree.pinned`` builds such a tree in that
+shape at once.  ``PQTree.paired`` builds the tree in which pairs of leaves
+are each consecutive, P(P(a₁ b₁) … P(aᵣ bᵣ)), at once too.
 
 A reduction keeps its state on the nodes, as Booth and Lueker's does: each
 pertinent node's pertinent children, its count of pertinent leaves, the
@@ -19,13 +20,11 @@ children still to be counted and its full or partial mark are fields of
 the node, valid only under the stamp that the call wrote there.  Stamps
 come from one counter for every tree, so a field that an earlier or failed
 call left behind, in this tree or in a clone it adopted, is never read.
-A successful ``restrict`` costs O(|s| + depth), plus the length of the
-shorter partial child spliced into the longer at a P-node root and of each
-partial Q-node dissolved into its Q-node parent.  A failed ``restrict``
-leaves the tree partially rewritten, and recognition never retries after
-one: it rejects.  ``orestrict`` and ``clone`` have no caller in
-recognition; they stay only because the benchmark's tracer wraps them by
-name.
+A successful ``restrict`` costs O(|s| + depth), plus the length of each
+partial Q-node dissolved into its parent.  A failed ``restrict`` leaves the
+tree partially rewritten, and recognition never retries after one: it
+rejects.  ``orestrict`` and ``clone`` have no caller in recognition; they
+stay only because the benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -201,11 +200,11 @@ class PQTree:
         new.parent = parent
         old.parent = None
 
-    def _q_dissolve(self, parent: _Node, cp: _Node, fulls_right: bool, side: int) -> None:
+    def _q_dissolve(self, parent: _Node, cp: _Node, fulls_right) -> None:
         """Replace Q-child cp of Q-node parent by cp's own children, oriented
-        so cp's full end points right (or left)."""
+        so cp's full end, read from cp.mark, points right (or left)."""
         kids = cp.children()
-        if (side == 1) != fulls_right:
+        if cp.mark[0] != fulls_right:
             kids.reverse()
         left, right = cp.lsib, cp.rsib
         prev = left
@@ -290,10 +289,13 @@ class PQTree:
                     continue
                 if len(partials) > 1 + is_root:
                     return False
-                # the longer partial Q absorbs the rest at its full end, so
-                # only the shorter one is walked; with none, a transient Q
                 for f in fulls:
                     _unlink(node, f)
+                if is_root and not partials:  # the fulls' group goes right
+                    _attach(node, _group(fulls), True)
+                    continue
+                # the longer partial Q absorbs the rest at its full end, so
+                # only the shorter one is walked; with none, a transient Q
                 if len(partials) == 2 and partials[1][1].child_count > partials[0][1].child_count:
                     partials.reverse()
                 if partials:
@@ -306,16 +308,11 @@ class PQTree:
                 if fulls:
                     _attach(c, _group(fulls), side)
                 if len(partials) == 2:
-                    side2, c2 = partials[1]
+                    c2 = partials[1][1]
                     _unlink(node, c2)
-                    kids = c2.children()
-                    if side2:  # full end first
-                        kids.reverse()
-                    for k in kids:
-                        _attach(c, k, side)
+                    _attach(c, c2, side)
+                    self._q_dissolve(c, c2, not side)
                 if is_root:
-                    if c.parent is None:
-                        _attach(node, c, True)
                     if node.child_count == 1:
                         _unlink(node, c)
                         self._replace_child(node.parent, node, c)
@@ -356,57 +353,36 @@ class PQTree:
                 c = c.rsib
             if len(run) != len(node.pert):
                 return False
+            # partial children only at the ends of the run: one below the
+            # pertinent root, two at it
+            last = len(run) - 1
             run_partial = [i for i, c in enumerate(run) if c.mark is not _FULL]
-
+            if len(run_partial) > 1 + is_root or any(0 < i < last for i in run_partial):
+                return False
             if not is_root:
                 if not run_partial and len(run) == node.child_count:
                     node.mark = _FULL
                     continue
-                if len(run_partial) > 1:
-                    return False
-                at_head = left is node.first
-                at_tail = right is node.last
-                if run_partial:
-                    i = run_partial[0]
-                    cp = run[i]
-                    if at_tail and i == 0:
-                        self._q_dissolve(node, cp, True, cp.mark[0])
-                        node.mark = (1, node)
-                    elif at_head and i == len(run) - 1:
-                        self._q_dissolve(node, cp, False, cp.mark[0])
-                        node.mark = (0, node)
-                    else:
-                        return False
+                # the run reaches one end of the node, its partial child
+                # sits at the run's other end, and the full end is the one
+                # the run reaches
+                if right is node.last and run_partial in ([], [0]):
+                    side = 1
+                elif left is node.first and run_partial in ([], [last]):
+                    side = 0
                 else:
-                    if at_tail:
-                        node.mark = (1, node)
-                    elif at_head:
-                        node.mark = (0, node)
-                    else:
-                        return False
-                continue
-            # pertinent root, Q kind: partials only at the run's two ends
-            if len(run_partial) > 2:
-                return False
-            last_i = len(run) - 1
-            for i in run_partial:
-                if i != 0 and i != last_i:
                     return False
-            if last_i in run_partial and last_i != 0:
-                cp = run[last_i]
-                self._q_dissolve(node, cp, False, cp.mark[0])
-            if 0 in run_partial:
-                cp = run[0]
-                self._q_dissolve(node, cp, True, cp.mark[0])
+                node.mark = (side, node)
+            # each partial child opens toward the inside of the run; a lone
+            # one, which only a node below the root holds, toward the end of
+            # the node that the run reaches
+            for i in run_partial:
+                self._q_dissolve(node, run[i], i == 0 if last else side)
 
-        # transient Q-nodes that survived with two children become P-nodes;
-        # one child is the root's group of fulls, which stands for itself
+        # transient Q-nodes left with two children become P-nodes; one that
+        # was dissolved is out of the tree, so its kind is never read
         for q in pseudos:
-            if q.parent is None and q is not self._root:
-                continue
-            if q.child_count == 1:
-                self._replace_child(q.parent, q, q.first)
-            elif q.child_count == 2:
+            if q.child_count == 2:
                 q.kind = "P"
         return True
 

@@ -191,10 +191,18 @@ def test_gen_cert_needs_unperturbed(tmp_path, capsys):
     assert main(["gen", "5", "2", "--perturb", "1", "--cert", str(tmp_path / "c.txt")]) == 2
 
 
-def test_gen_bad_counts_exit_2(capsys):
+def _no_planting(spec):
+    raise AssertionError("generate reached")
+
+
+def test_gen_bad_counts_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate", _no_planting)
     assert main(["gen", "-1", "0"]) == 2
     assert capsys.readouterr().err == "error: counts must be non-negative\n"
     assert main(["gen", "3", "1", "--overlap", "1.5"]) == 2
+    # over the vertex limit: refused before anything is planted
+    assert main(["gen", "1000000", "1"]) == 2
+    assert capsys.readouterr().err.endswith("error: more than 1000000 vertices\n")
 
 
 def test_recognize_undecodable_file(tmp_path, capsys):
@@ -240,11 +248,14 @@ def test_bench_rejects_unsorted_sizes(capsys):
     assert main(["bench", "--sizes", "400,300"]) == 2
 
 
-def test_bench_rejects_malformed_sizes(capsys):
+def test_bench_rejects_malformed_sizes(capsys, monkeypatch):
     # argparse handles the type error itself and exits with usage status 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--sizes", "4x0"])
-    assert exc.value.code == 2
+    monkeypatch.setattr(cli, "generate", _no_planting)
+    for sizes in ("4x0", "400,1000001"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", sizes])
+        assert exc.value.code == 2
+    assert "sizes must not exceed 1000000" in capsys.readouterr().err
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -114,6 +114,11 @@ def test_bad_specs_raise():
         GenSpec(2, 2, span=-0.1)
     with pytest.raises(ValueError):
         GenSpec(2, 2, perturb=-1)
+    # over the vertex limit: refused when the spec is built, so generate
+    # never allocates for it
+    for probes, nonprobes in ((1_000_001, 0), (0, 1_000_001), (500_001, 500_000)):
+        with pytest.raises(ValueError, match="more than 1000000 vertices"):
+            GenSpec(probes, nonprobes)
 
 
 @given(

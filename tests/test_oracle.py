@@ -1,4 +1,7 @@
+import ast
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +12,8 @@ from ptpig import (
     probe_subgraph,
     tagged_graph,
 )
-from ptpig.oracle import brute_oriented_consecutive_ones, enumerate_canonical_orderings
+from ptpig import oracle
+from ptpig.oracle import enumerate_canonical_orderings
 
 
 def test_ordering_counts(ex22):
@@ -48,15 +52,17 @@ def test_relabeling_nonprobes_is_invisible():
     assert oracle_recognize(base) == oracle_recognize(swapped)
 
 
-def test_brute_oriented_goldens():
-    assert brute_oriented_consecutive_ones([1, 2, 3], [({1}, -1), ({3}, 1)]) == {(1, 2, 3)}
-    assert brute_oriented_consecutive_ones([1, 2, 3], []) == set(itertools.permutations([1, 2, 3]))
-    assert brute_oriented_consecutive_ones([1, 2], [({1}, -1), ({1}, 1)]) == set()
-
-
-def test_brute_oriented_size_cap():
-    with pytest.raises(OracleBudgetExceeded):
-        brute_oriented_consecutive_ones(list(range(9)), [])
+def test_oracle_imports_only_the_standard_library_and_graph():
+    # the oracle rests on the definition, so it must stay independent of
+    # the recognizer's code: no import of recognize, proper or pqtree
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert (node.level, node.module) == (1, "graph"), ast.unparse(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+            for name in modules:
+                assert name.split(".")[0] in sys.stdlib_module_names, ast.unparse(node)
 
 
 @given(st.integers(2, 6), st.data())

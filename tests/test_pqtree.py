@@ -6,8 +6,8 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptpig import PQTree
-from ptpig.oracle import brute_oriented_consecutive_ones
+from ptpig import OracleBudgetExceeded, PQTree
+from ptpig.oracle import MAX_UNIVERSE
 from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, _preorder, strip_markers
 
 from .conftest import shallow_stack
@@ -73,6 +73,49 @@ def brute_consecutive(universe, sets, perms=None):
         for s in sets:
             ps = sorted(pos[x] for x in s)
             if ps[-1] - ps[0] != len(s) - 1:
+                ok = False
+                break
+        if ok:
+            out.add(perm)
+    return out
+
+
+# orientation codes for brute_oriented_consecutive_ones
+ORIENT_NONE = 0
+ORIENT_LEFT = -1
+ORIENT_RIGHT = 1
+ORIENT_EITHER = 2
+
+
+def brute_oriented_consecutive_ones(universe, rs):
+    """All orderings of universe satisfying every restriction literally.
+
+    rs is a list of (subset, orientation) pairs; orientation 0 demands the
+    subset be consecutive, -1/+1 additionally flushed to the left/right end,
+    and 2 flushed to either end.
+    """
+    elems = list(universe)
+    if len(elems) > MAX_UNIVERSE:
+        raise OracleBudgetExceeded(
+            f"universe of {len(elems)} exceeds the enumeration cap"
+        )
+    checks = [(frozenset(s), b) for s, b in rs]
+    out = set()
+    last = len(elems) - 1
+    for perm in itertools.permutations(elems):
+        ok = True
+        for s, b in checks:
+            ps = [i for i, x in enumerate(perm) if x in s]
+            if ps[-1] - ps[0] + 1 != len(ps):
+                ok = False
+                break
+            if b == ORIENT_LEFT and ps[0] != 0:
+                ok = False
+                break
+            if b == ORIENT_RIGHT and ps[-1] != last:
+                ok = False
+                break
+            if b == ORIENT_EITHER and ps[0] != 0 and ps[-1] != last:
                 ok = False
                 break
         if ok:
@@ -266,6 +309,10 @@ def test_partial_q_grows_at_its_full_end():
         # and takes in the shorter one
         (list(range(1, 9)), [{1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}, {1, 7}],
          "P(8 Q(4 5 6 7 1 2 3))"),
+        # non-root Q(P(1 2) 3 4) whose lone partial child Q(2 1), at its
+        # head and full on the right, opens with its full end at the head
+        # that the run reaches: Q(1 2 3 4), not Q(2 1 3 4)
+        ([1, 2, 3, 4, 5], [{1, 2, 3}, {3, 4}, {1, 5}], "Q(5 1 2 3 4)"),
     ]
     for universe, sets, shape in cases:
         t = PQTree(universe)
@@ -282,8 +329,8 @@ def test_replaced_child_of_a_p_node_goes_to_its_right_end():
         # non-root P(1 2 3) becomes a partial Q inside its P parent
         (list(range(1, 8)), [{1, 2, 3}, {4, 5}, {3, 6}], "P(6 7 P(1 2 3) P(4 5))",
          "P(7 P(4 5) Q(P(1 2) 3 6))"),
-        # the pertinent root P(1 2 3) keeps the group P(1 2) in a transient Q
-        # of one child, which the group then replaces
+        # the group P(1 2) of the pertinent root P(1 2 3)'s full children
+        # joins the root at its right end
         (list(range(1, 8)), [{1, 2, 3}, {4, 5}, {1, 2, 3, 4, 5}, {1, 2}],
          "P(6 7 P(P(1 2 3) P(4 5)))", "P(6 7 P(P(3 P(1 2)) P(4 5)))"),
         # the pertinent root P(Q(1 2 3) 4) is left with one child, the
@@ -392,6 +439,17 @@ def test_oriented_goldens():
 def test_oriented_reserves_marker_labels():
     with pytest.raises(ValueError):
         oriented_consecutive_ones([MARK_LEFT, "x"], [])
+
+
+def test_brute_oriented_goldens():
+    assert brute_oriented_consecutive_ones([1, 2, 3], [({1}, -1), ({3}, 1)]) == {(1, 2, 3)}
+    assert brute_oriented_consecutive_ones([1, 2, 3], []) == set(itertools.permutations([1, 2, 3]))
+    assert brute_oriented_consecutive_ones([1, 2], [({1}, -1), ({1}, 1)]) == set()
+
+
+def test_brute_oriented_size_cap():
+    with pytest.raises(OracleBudgetExceeded):
+        brute_oriented_consecutive_ones(list(range(9)), [])
 
 
 def test_strip_markers_normalizes_direction():
