@@ -7,23 +7,28 @@ separately so the CLI can report a witness edge instead of a parse error.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import eq
 
 
 class GraphFormatError(ValueError):
     """Tagged-graph text that cannot be parsed (bad header, range, self-loop)."""
 
 
-# Largest p + q accepted.  A graph allocates one adjacency set per vertex
-# before it reads any edge; at this bound the empty sets alone take about
-# 230 MB, so a one-line header cannot ask for many gigabytes.
+# Largest p + q accepted.  A graph allocates one adjacency list per vertex
+# before it reads any edge, and the bulk reader one numeral per vertex too;
+# at this bound they take about 180 MB, so a one-line header cannot ask for
+# many gigabytes.
 MAX_VERTICES = 1_000_000
 
 # Largest input text accepted, in characters (bytes, for the ASCII wire
-# format).  Parsing keeps about 184 bytes per edge, so this bounds memory
-# by edges too; it admits K_2000 (22 MB) and the planted 10^6-vertex
-# instance of ``ptpig bench`` (1.87M edges, about 30 MB).
+# format).  Read in bulk, a text peaks at about 34 bytes per edge and 200
+# per vertex beyond itself, so this bounds memory by edges too: a 63 MiB
+# text of 4.2M edges on 10^6 vertices peaks at 482 MB of RSS.  It admits
+# K_2000 (22 MB) and the planted 10^6-vertex instance of ``ptpig bench``
+# (1.87M edges, about 30 MB).
 MAX_INPUT_BYTES = 64 * 2**20
 
 
@@ -85,20 +90,30 @@ def tagged_graph(p: int, q: int, edges) -> TaggedGraph:
     n = p + q
     if n > MAX_VERTICES:
         raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-    nbr: list[set[int]] = [set() for _ in range(n + 1)]
-    count = 0
+    nbr: list[list[int]] = [[] for _ in range(n + 1)]
     for u, v in edges:
         if not (1 <= u <= n) or not (1 <= v <= n):
             bad = u if not (1 <= u <= n) else v
             raise GraphFormatError(f"vertex {bad} out of range (n={n})")
         if u == v:
             raise GraphFormatError(f"self-loop at vertex {u}")
-        if v not in nbr[u]:
-            nbr[u].add(v)
-            nbr[v].add(u)
-            count += 1
-    adj = tuple(tuple(sorted(s)) for s in nbr)
-    return TaggedGraph(p=p, q=q, adj=adj, edge_count=count)
+        nbr[u].append(v)
+        nbr[v].append(u)
+    return _finish(p, q, nbr)
+
+
+def _finish(p: int, q: int, nbr: list[list[int]]) -> TaggedGraph:
+    """The graph in which nbr[v] lists v's neighbours: each edge at both of
+    its ends, duplicates allowed."""
+    adj = tuple([tuple(sorted(set(a))) for a in nbr])  # a list builds faster
+    return TaggedGraph(p=p, q=q, adj=adj, edge_count=sum(map(len, adj)) // 2)
+
+
+# The form that serialize_tagged_graph writes.  The possessive repeat keeps
+# the match from stacking backtracking state for every line it passes.
+_CANONICAL = re.compile(r"ptpig ([0-9]+) ([0-9]+)\n(?:e [0-9]+ [0-9]+\n)*+")
+_COUNT_DIGITS = len(str(MAX_VERTICES))
+_CHUNK = 2**20  # characters split at a time, which bounds the token lists
 
 
 def parse_tagged_graph(text: str) -> TaggedGraph:
@@ -107,9 +122,56 @@ def parse_tagged_graph(text: str) -> TaggedGraph:
     Line 1: ``ptpig <p> <q>``.  Then ``e <u> <v>`` lines, ``#`` comments,
     blank lines ignored.  Errors name the offending line.  A text longer
     than MAX_INPUT_BYTES is refused before any line is read.
+
+    Text in the form that serialize_tagged_graph and ``ptpig gen`` write,
+    ``ptpig <p> <q>`` and then ``e <u> <v>`` lines, with single spaces,
+    ASCII digits and a newline after every line, is read in bulk.  Any other
+    text goes through a line scanner: comments, blank lines, CRLF, tabs,
+    a vertex with a leading zero, a missing final newline.  So does any text that fails a
+    check of the bulk reader (a count over MAX_VERTICES, a vertex out of
+    range, a self-loop); the scanner alone raises, naming the line.  Both
+    give the same graph.
     """
     if len(text) > MAX_INPUT_BYTES:
         raise GraphFormatError(f"input longer than {MAX_INPUT_BYTES} bytes")
+    g = _read_canonical(text)
+    return g if g is not None else _scan_lines(text)
+
+
+def _read_canonical(text: str) -> TaggedGraph | None:
+    """The graph of a text in serialize_tagged_graph's form, or None if the
+    text is not in that form or fails a check."""
+    m = _CANONICAL.fullmatch(text)
+    if m is None or len(m[1]) > _COUNT_DIGITS or len(m[2]) > _COUNT_DIGITS:
+        return None
+    p, q = int(m[1]), int(m[2])
+    n = p + q
+    if n > MAX_VERTICES:
+        return None
+    # Numerals are looked up, not converted: a miss is a 0, a leading zero
+    # or a vertex past n, and all mentions of a vertex share one int.
+    vertex = {str(v): v for v in range(1, n + 1)}
+    nbr: list[list[int]] = [[] for _ in range(n + 1)]
+    pos = m.end(2) + 1
+    while pos < len(text):
+        cut = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        tokens = text[pos:cut].split()  # e u v e u v ...
+        pos = cut
+        try:
+            us = list(map(vertex.__getitem__, tokens[1::3]))
+            vs = list(map(vertex.__getitem__, tokens[2::3]))
+        except KeyError:
+            return None
+        if any(map(eq, us, vs)):  # a self-loop
+            return None
+        for u, v in zip(us, vs):
+            nbr[u].append(v)
+            nbr[v].append(u)
+    return _finish(p, q, nbr)
+
+
+def _scan_lines(text: str) -> TaggedGraph:
+    """parse_tagged_graph for any text, line by line."""
     p = q = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -68,6 +68,23 @@ C4_EDGES = [(1, 2), (2, 3), (1, 4), (3, 4)]
 C4_CERT = {1: (1, 3), 2: (2, 5), 3: (4, 6), 4: (3, 4)}
 
 
+# Texts in the form that parse_tagged_graph reads in bulk, each with an error
+# on a line, and the message that names it.  The endpoint and the count of
+# 5,000 digits are past int()'s default limit on digits.
+BAD_WIRE_TEXTS = [
+    ("ptpig 3 1\ne 0 2\n", "line 2: vertex 0 out of range (n=4)"),
+    ("ptpig 3 1\ne 1 2\ne 2 5\n", "line 3: vertex 5 out of range (n=4)"),
+    ("ptpig 3 1\ne 1 2\ne 3 3\n", "line 3: self-loop at vertex 3"),
+    ("ptpig 1000000 1\ne 1 2\n", "line 1: more than 1000000 vertices"),
+    ("ptpig 3 1\ne 1 " + "9" * 5000 + "\n", "line 2: non-integer endpoint"),
+    ("ptpig " + "9" * 5000 + " 1\ne 1 2\n", "line 1: non-integer counts"),
+]
+
+def no_line_scan(text):
+    """Stands in for the line scanner where text must be read in bulk."""
+    raise AssertionError("line scanner reached")
+
+
 @contextmanager
 def shallow_stack(frames: int):
     """Allow only `frames` more stack frames than the caller has now."""

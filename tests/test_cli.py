@@ -5,11 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from ptpig import serialize_tagged_graph, tagged_graph
+from ptpig import graph, parse_tagged_graph, serialize_tagged_graph, tagged_graph
 from ptpig import cli
 from ptpig.cli import main
 
-from .conftest import C4_CERT, C4_EDGES, EX33_EDGES, EX36_EDGES, G1_EDGES, TABLE_CERT
+from .conftest import (
+    BAD_WIRE_TEXTS,
+    C4_CERT,
+    C4_EDGES,
+    EX33_EDGES,
+    EX36_EDGES,
+    G1_EDGES,
+    TABLE_CERT,
+    no_line_scan,
+)
 
 TABLE_CERT_TEXT = "".join(f"{v} {lo} {hi}\n" for v, (lo, hi) in sorted(TABLE_CERT.items()))
 
@@ -47,6 +56,12 @@ def test_recognize_bad_header(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("graph 2 1\ne 1 2\n", encoding="utf-8")
     assert main(["recognize", str(bad)]) == 2
+    # input errors, not internal ones, however the text is read
+    for text, message in BAD_WIRE_TEXTS:
+        capsys.readouterr()
+        bad.write_text(text, encoding="utf-8")
+        assert main(["recognize", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_recognize_hostile_header(tmp_path, capsys):
@@ -181,10 +196,16 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert main(["verify", g, c]) == 0
 
 
-def test_gen_to_stdout_parses(tmp_path, capsys):
+def test_gen_to_stdout_parses(tmp_path, capsys, monkeypatch):
     assert main(["gen", "5", "2", "--seed", "9"]) == 0
     text = capsys.readouterr().out
     assert text.startswith("ptpig 5 2\n")
+    # what gen writes is read in bulk
+    assert main(["gen", "60", "20", "--seed", "4"]) == 0
+    text = capsys.readouterr().out
+    monkeypatch.setattr(graph, "_scan_lines", no_line_scan)
+    g = parse_tagged_graph(text)
+    assert (g.p, g.q) == (60, 20) and g.edge_count == text.count("\ne ")
 
 
 def test_gen_cert_needs_unperturbed(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -14,9 +15,10 @@ from ptpig import (
     two_stretch_filter,
     validate_nonprobe_independence,
 )
+from ptpig import graph
 from ptpig.graph import MAX_VERTICES
 
-from .conftest import EX33_EDGES, EX36_EDGES
+from .conftest import BAD_WIRE_TEXTS, EX33_EDGES, EX36_EDGES, no_line_scan
 
 
 def test_parse_minimal():
@@ -39,10 +41,15 @@ def test_parse_missing_header():
 def test_parse_bad_edge_line_names_line_number():
     with pytest.raises(GraphFormatError, match="line 3"):
         parse_tagged_graph("ptpig 2 0\ne 1 2\nnonsense\n")
+    # text the bulk reader takes up and then hands to the line scanner
+    for text, message in BAD_WIRE_TEXTS:
+        with pytest.raises(GraphFormatError) as exc:
+            parse_tagged_graph(text)
+        assert str(exc.value) == message
 
 
 def test_parse_self_loop_rejected():
-    with pytest.raises(GraphFormatError):
+    with pytest.raises(GraphFormatError, match="^line 2: self-loop at vertex 1$"):
         parse_tagged_graph("ptpig 2 0\ne 1 1\n")
 
 
@@ -51,7 +58,7 @@ def test_parse_out_of_range_rejected():
         parse_tagged_graph("ptpig 2 1\ne 1 4\n")
 
 
-@pytest.mark.parametrize("u, v, bad", [(0, 2, 0), (2, 9, 9), (9, 0, 9)])
+@pytest.mark.parametrize("u, v, bad", [(0, 2, 0), (2, 9, 9), (9, 0, 9), (2, 5, 5)])
 def test_out_of_range_names_the_first_bad_endpoint(u, v, bad):
     # the first endpoint out of range, not the larger one, which may be fine
     with pytest.raises(GraphFormatError, match=f"^line 2: vertex {bad} out of range \\(n=4\\)$"):
@@ -84,6 +91,8 @@ def test_vertex_limit_checked_before_allocation():
     try:
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_tagged_graph("ptpig 100000000 0\n")
+        with pytest.raises(GraphFormatError, match="^line 1: more than 1000000 vertices$"):
+            parse_tagged_graph(f"ptpig {MAX_VERTICES} 1\ne 1 2\n")
         with pytest.raises(GraphFormatError):
             tagged_graph(MAX_VERTICES, 1, [])
         peak = tracemalloc.get_traced_memory()[1]
@@ -92,10 +101,67 @@ def test_vertex_limit_checked_before_allocation():
     assert peak < 1_000_000
 
 
-def test_roundtrip_on_fixtures(ex36, ex33):
-    for g in (ex36, ex33):
-        again = parse_tagged_graph(serialize_tagged_graph(g))
-        assert again.p == g.p and again.q == g.q and again.adj == g.adj
+def test_roundtrip_on_fixtures(ex36, ex33, monkeypatch):
+    # what serialize_tagged_graph writes is read in bulk
+    monkeypatch.setattr(graph, "_scan_lines", no_line_scan)
+    for g in (ex36, ex33, tagged_graph(0, 0, []), tagged_graph(0, 3, [])):
+        assert parse_tagged_graph(serialize_tagged_graph(g)) == g
+
+
+def _wire(p, q, edges) -> str:
+    return f"ptpig {p} {q}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+
+
+def _insert_line(text, line, rng) -> str:
+    lines = text.splitlines(keepends=True)
+    lines.insert(rng.randint(0, len(lines)), line)
+    return "".join(lines)
+
+
+def _replace_one(text, old, new, rng) -> str:
+    at = [i for i in range(len(text)) if text.startswith(old, i)]
+    i = rng.choice(at)
+    return text[:i] + new + text[i + len(old):]
+
+
+def test_bulk_and_line_reads_agree(monkeypatch):
+    # the text in the writers' form is read in bulk, in one chunk or in
+    # many; every variant of it goes through the line scanner; all give the
+    # graph that tagged_graph builds
+    scanned = []
+    scan = graph._scan_lines
+    monkeypatch.setattr(graph, "_scan_lines", lambda text: scanned.append(text) or scan(text))
+    rng = random.Random(5)
+    for _ in range(200):
+        p = rng.choice([0, rng.randint(1, 9)])
+        q = rng.choice([0, rng.randint(1, 4)])
+        n = p + q
+        edges = []
+        if n >= 2:
+            for _ in range(rng.choice([0, rng.randint(1, 2 * n)])):
+                u, v = rng.sample(range(1, n + 1), 2)
+                edges.append((u, v))
+                if rng.random() < 0.3:  # a duplicate, as written or reversed
+                    edges.append(rng.choice([(u, v), (v, u)]))
+        rng.shuffle(edges)
+        monkeypatch.setattr(graph, "_CHUNK", rng.choice([1, 6, 20, 2**20]))
+        want = tagged_graph(p, q, edges)
+        text = _wire(p, q, edges)
+        assert parse_tagged_graph(text) == want
+        assert scanned == []
+        variants = [
+            _insert_line(text, "# comment\n", rng),
+            _insert_line(text, "\n", rng),
+            text.replace("\n", "\r\n"),
+            _replace_one(text, " ", "\t", rng),
+            _replace_one(text, " ", "  ", rng),
+            text[:-1],
+        ]
+        if edges:
+            variants.append(_replace_one(text, "\ne ", "\ne 0", rng))
+        for variant in variants:
+            assert parse_tagged_graph(variant) == want
+            assert scanned.pop() == variant
 
 
 def test_independence_ok(ex36):
@@ -194,7 +260,9 @@ edge_sets = st.integers(2, 7).flatmap(
 def test_roundtrip_random(pair, q):
     n, edges = pair
     g = tagged_graph(n, q, edges)
-    assert parse_tagged_graph(serialize_tagged_graph(g)).adj == g.adj
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_scan_lines", no_line_scan)
+        assert parse_tagged_graph(serialize_tagged_graph(g)) == g
 
 
 @given(edge_sets)

@@ -504,6 +504,46 @@ def test_restrict_is_monotone(case):
         admissible = nxt
 
 
+SMALL_SETS = [frozenset(c) for k in (2, 3, 4) for c in itertools.combinations(range(1, 6), k)]
+
+
+def _check_every_sequence(make, universe, start, depth=3) -> int:
+    """Replay every sequence of up to depth SMALL_SETS on a fresh make()
+    and compare each restrict with brute force; returns how many sequences
+    were checked.  A prefix's admissible orders are filtered by each next
+    set, so brute force never starts again from all permutations."""
+    checked = 0
+    stack = [((), start)]
+    while stack:
+        prefix, admissible = stack.pop()
+        for s in SMALL_SETS:
+            seq = (*prefix, s)
+            t = make()
+            for r in prefix:
+                t.restrict(r)
+            expect = brute_consecutive(universe, [s], admissible)
+            assert t.restrict(s) == bool(expect), [sorted(r) for r in seq]
+            checked += 1
+            if expect:
+                assert frontier_set(t) == expect, [sorted(r) for r in seq]
+                if len(seq) < depth:
+                    stack.append((seq, expect))
+    return checked
+
+
+def test_every_short_restrict_sequence_matches_brute():
+    # random restricts rarely build a partial child at the head of a
+    # non-root Q-node; on five labels, three restricts reach every such
+    # shape, and two restricts, or four labels, do not
+    universe = (1, 2, 3, 4, 5)
+    assert _check_every_sequence(lambda: PQTree(universe), universe,
+                                 set(itertools.permutations(universe))) == 16_275
+    members = {*universe}
+    pinned = (*universe, MARK_LEFT, MARK_RIGHT)
+    start = brute_consecutive(pinned, [members | {MARK_LEFT}, members | {MARK_RIGHT}])
+    assert _check_every_sequence(lambda: PQTree.pinned(universe), pinned, start) == 16_275
+
+
 def _restrict_run(tree, sets):
     """Each restrict's result and the tree it leaves, up to the first
     failure, which spends the tree."""
