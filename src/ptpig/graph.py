@@ -26,7 +26,7 @@ MAX_VERTICES = 1_000_000
 # Largest input text accepted, in characters (bytes, for the ASCII wire
 # format).  Read in bulk, a text peaks at about 34 bytes per edge and 200
 # per vertex beyond itself, so this bounds memory by edges too: a 63 MiB
-# text of 4.2M edges on 10^6 vertices peaks at 482 MB of RSS.  It admits
+# text of 4.2M edges on 10^6 vertices peaks at about 510 MB of RSS.  It admits
 # K_2000 (22 MB) and the planted 10^6-vertex instance of ``ptpig bench``
 # (1.87M edges, about 30 MB).
 MAX_INPUT_BYTES = 64 * 2**20
@@ -109,11 +109,12 @@ def _finish(p: int, q: int, nbr: list[list[int]]) -> TaggedGraph:
     return TaggedGraph(p=p, q=q, adj=adj, edge_count=sum(map(len, adj)) // 2)
 
 
-# The form that serialize_tagged_graph writes.  The possessive repeat keeps
-# the match from stacking backtracking state for every line it passes.
-_CANONICAL = re.compile(r"ptpig ([0-9]+) ([0-9]+)\n(?:e [0-9]+ [0-9]+\n)*+")
-_COUNT_DIGITS = len(str(MAX_VERTICES))
-_CHUNK = 2**20  # characters split at a time, which bounds the token lists
+# The form that serialize_tagged_graph writes: a header, then edge lines.
+# Seven digits reach MAX_VERTICES, and a vertex has no leading zero, so a
+# numeral that passes names a vertex of at most seven digits, or none.
+_HEADER = re.compile(r"ptpig ([0-9]{1,7}) ([0-9]{1,7})\n")
+_EDGE_LINES = re.compile(r"(?:e [1-9][0-9]{0,6} [1-9][0-9]{0,6}\n)*")
+_CHUNK = 2**20  # characters matched and split at a time
 
 
 def parse_tagged_graph(text: str) -> TaggedGraph:
@@ -126,11 +127,11 @@ def parse_tagged_graph(text: str) -> TaggedGraph:
     Text in the form that serialize_tagged_graph and ``ptpig gen`` write,
     ``ptpig <p> <q>`` and then ``e <u> <v>`` lines, with single spaces,
     ASCII digits and a newline after every line, is read in bulk.  Any other
-    text goes through a line scanner: comments, blank lines, CRLF, tabs,
-    a vertex with a leading zero, a missing final newline.  So does any text that fails a
-    check of the bulk reader (a count over MAX_VERTICES, a vertex out of
-    range, a self-loop); the scanner alone raises, naming the line.  Both
-    give the same graph.
+    text goes through a line scanner: comments, blank lines, CRLF, tabs, a
+    numeral with a leading zero or of more than seven digits, a missing
+    final newline.  So does any text that fails a check of the bulk reader
+    (a count over MAX_VERTICES, a vertex out of range, a self-loop); the
+    scanner alone raises, naming the line.  Both give the same graph.
     """
     if len(text) > MAX_INPUT_BYTES:
         raise GraphFormatError(f"input longer than {MAX_INPUT_BYTES} bytes")
@@ -141,33 +142,42 @@ def parse_tagged_graph(text: str) -> TaggedGraph:
 def _read_canonical(text: str) -> TaggedGraph | None:
     """The graph of a text in serialize_tagged_graph's form, or None if the
     text is not in that form or fails a check."""
-    m = _CANONICAL.fullmatch(text)
-    if m is None or len(m[1]) > _COUNT_DIGITS or len(m[2]) > _COUNT_DIGITS:
+    m = _HEADER.match(text)
+    if m is None:
         return None
     p, q = int(m[1]), int(m[2])
     n = p + q
     if n > MAX_VERTICES:
         return None
-    # Numerals are looked up, not converted: a miss is a 0, a leading zero
-    # or a vertex past n, and all mentions of a vertex share one int.
-    vertex = {str(v): v for v in range(1, n + 1)}
-    nbr: list[list[int]] = [[] for _ in range(n + 1)]
-    pos = m.end(2) + 1
+    # Each chunk is matched whole, which bounds the matcher's state, and
+    # split into tokens, which bounds the token lists.  The tables per
+    # vertex are built only once the first chunk has passed the checks that
+    # need none, so a short text with a bad line allocates little.
+    vertex: dict[str, int] = {}
+    nbr: list[list[int]] = []
+    pos = m.end()
     while pos < len(text):
         cut = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        if _EDGE_LINES.fullmatch(text, pos, cut) is None:
+            return None
         tokens = text[pos:cut].split()  # e u v e u v ...
         pos = cut
+        us, vs = tokens[1::3], tokens[2::3]
+        if any(map(eq, us, vs)):  # a self-loop, as no numeral has a leading zero
+            return None
+        # Numerals are looked up, not converted: a miss is a vertex past n,
+        # and all mentions of a vertex share one int.
+        vertex = vertex or {str(v): v for v in range(1, n + 1)}
         try:
-            us = list(map(vertex.__getitem__, tokens[1::3]))
-            vs = list(map(vertex.__getitem__, tokens[2::3]))
+            us = list(map(vertex.__getitem__, us))
+            vs = list(map(vertex.__getitem__, vs))
         except KeyError:
             return None
-        if any(map(eq, us, vs)):  # a self-loop
-            return None
+        nbr = nbr or [[] for _ in range(n + 1)]
         for u, v in zip(us, vs):
             nbr[u].append(v)
             nbr[v].append(u)
-    return _finish(p, q, nbr)
+    return _finish(p, q, nbr or [[] for _ in range(n + 1)])
 
 
 def _scan_lines(text: str) -> TaggedGraph:
