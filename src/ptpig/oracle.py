@@ -47,18 +47,15 @@ def _is_canonical(g: ProbeGraph, order) -> bool:
     return True
 
 
-def enumerate_canonical_orderings(g: ProbeGraph):
-    """Exact list of orderings with the consecutive closed-neighborhood
-    property, by filtering all |V|! permutations."""
-    if g.n > MAX_UNIVERSE:
+def enumerate_canonical_orderings(g: ProbeGraph, vertices):
+    """Exact list of orderings of vertices, a union of g's components, with
+    the consecutive closed-neighborhood property, by filtering all
+    |vertices|! permutations."""
+    if len(vertices) > MAX_UNIVERSE:
         raise OracleBudgetExceeded(
-            f"{g.n} vertices exceeds the enumeration cap ({MAX_UNIVERSE})"
+            f"{len(vertices)} vertices exceeds the enumeration cap ({MAX_UNIVERSE})"
         )
-    out = []
-    for perm in permutations(range(1, g.n + 1)):
-        if _is_canonical(g, perm):
-            out.append(perm)
-    return out
+    return [perm for perm in permutations(vertices) if _is_canonical(g, perm)]
 
 
 def _stair_sequence(g: ProbeGraph, order) -> list[int]:
@@ -118,13 +115,7 @@ def oracle_recognize(g: TaggedGraph) -> bool:
 
     per_comp_orderings = []
     for comp in comps:
-        if len(comp) > MAX_UNIVERSE:
-            raise OracleBudgetExceeded(
-                f"component of {len(comp)} vertices exceeds the cap"
-            )
-        cand = [
-            perm for perm in permutations(comp) if _is_canonical(gp, perm)
-        ]
+        cand = enumerate_canonical_orderings(gp, comp)
         if not cand:
             return False  # probe subgraph is not a proper interval graph
         per_comp_orderings.append(cand)

@@ -13,11 +13,13 @@ only its neighbors and each neighbor at least once.  One pipeline:
      sequence per nonprobe, then settle the component's vertex sequence;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
-  5. the components' settled sequences, offset and mirrored as arranged,
-     make the final sequence; every nonprobe confined to one component
-     keeps the window found for it while deciding, and only nonprobes that
-     cross components are searched for once more, to build the interval
-     certificate.
+  5. the components' settled sequences, each reversed when its component
+     is flipped, are laid end to end and read once for positions (a lone
+     component's settled sequence is final as it is); every nonprobe
+     confined to one component keeps the window found for it while
+     deciding, offset or mirrored into the final sequence, and only
+     nonprobes that cross components are searched for once more, to build
+     the interval certificate.
 
 Rejections carry a machine-readable reason code and, where meaningful, a
 witness nonprobe.
@@ -165,7 +167,7 @@ def block_window_candidates(bcs: CanonicalSequence, fw: dict) -> set:
         for o in (bcs.L[k], bcs.R[k]):
             for step in (1, -1):
                 covered = set()
-                stray = None  # interior partial block other than k, if any
+                stray = None  # the other partial block, once it is interior
                 e = o
                 while 1 <= e <= total and seq[e - 1] in fw:
                     ke = seq[e - 1]
@@ -173,8 +175,6 @@ def block_window_candidates(bcs: CanonicalSequence, fw: dict) -> set:
                     if (stray is None or stray == ke) and len(covered) == len(fw):
                         out.add((k, ke) if step == 1 else (ke, k))
                     if ke != k and fw[ke] == 2:  # interior from the next step on
-                        if stray not in (None, ke):
-                            break  # two distinct interior partials: hopeless
                         stray = ke
                     e += step
     return out
@@ -209,8 +209,8 @@ class _CompState:
         self.vcs: CanonicalSequence | None = None
         self.sides: dict = {}  # w -> the end of the settled sequence it eats
         # nbrs -> leftmost window of a local nonprobe: in bcs for whole-block
-        # ones until settle, then in vcs for every one, then after place in
-        # the final sequence
+        # ones until settle, then in vcs for every one; place maps them into
+        # the final sequence, which a lone component's vcs already is
         self.windows: dict = {}
 
     def _tree(self, k: int) -> PQTree:
@@ -447,12 +447,12 @@ class _CompState:
                 return None
         return witness
 
-    def place(self, flipped: bool, seq: list, L: dict, R: dict, windows: dict) -> None:
+    def place(self, flipped: bool, seq: list, windows: dict) -> None:
         """Append the settled sequence to the final one, seq, reversed when
-        the component is flipped, with its first and second positions in L
-        and R and the windows of its local nonprobes, by neighbourhood, in
-        windows.  Mirroring makes the last perfect run the leftmost, so a
-        flipped component gives each nonprobe its last run.
+        the component is flipped, and the windows of its local nonprobes,
+        by neighbourhood, to windows.  Mirroring makes the last perfect run
+        the leftmost, so a flipped component gives each nonprobe its last
+        run.
 
         self.windows is rewritten in final positions rather than copied, so
         the settled windows are freed here and the cyclic collector, which
@@ -464,41 +464,30 @@ class _CompState:
         if flipped:
             e = off + len(vcs.seq) + 1
             seq.extend(reversed(vcs.seq))
-            L.update(zip(vcs.R, map(e.__sub__, vcs.R.values())))
-            R.update(zip(vcs.L, map(e.__sub__, vcs.L.values())))
             for nbrs, (lo, hi) in own.items():
                 lo, hi = _last_run(vcs, nbrs, lo, hi)
                 own[nbrs] = (e - hi, e - lo)
-        elif off:
+        else:
             seq.extend(vcs.seq)
-            L.update(zip(vcs.L, map(off.__add__, vcs.L.values())))
-            R.update(zip(vcs.R, map(off.__add__, vcs.R.values())))
             for nbrs, (lo, hi) in own.items():
                 own[nbrs] = (off + lo, off + hi)
-        else:  # the first component keeps its positions
-            seq.extend(vcs.seq)
-            L.update(vcs.L)
-            R.update(vcs.R)
         windows.update(own)
 
 
 def _vertex_side(vcs: CanonicalSequence, nbrs) -> str | None:
-    """The end of the sequence ("L" or "R") whose all-neighbor stretch
-    covers nbrs, or None.
+    """The end of the sequence ("L" or "R") that a perfect run of nbrs
+    reaches, or None.
 
     nbrs misses some vertex of the component, so at most one end qualifies:
-    the last vertex of the sequence is last in L order, so a prefix that
-    reaches it has covered the whole component.
+    the last vertex of the sequence is last in L order, so a run from the
+    left end that reaches it has covered the whole component.
     """
-    for side, seq in (("L", vcs.seq), ("R", reversed(vcs.seq))):
-        seen = set()
-        for x in seq:
-            if x not in nbrs:
-                break
-            seen.add(x)
-        if seen == nbrs:
-            return side
-    return None
+    got = perfect_substring_bounds(vcs, nbrs)
+    if got is None:
+        return None
+    if got[0] == 1:
+        return "L"
+    return "R" if _last_run(vcs, nbrs, *got)[1] == len(vcs.seq) else None
 
 
 def _nests(a, b) -> bool:
@@ -581,17 +570,18 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     got = _arrange_components(states, multi_ws)
     if isinstance(got, int):
         return _reject(MARKER_PQ_INFEASIBLE, witness=got)
-    seq: list = []
-    L: dict = {}
-    R: dict = {}
-    windows: dict = {}  # neighbourhood -> window in the final sequence
-    for ci, flipped in got:
-        states[ci].place(flipped, seq, L, R, windows)
-    cs = CanonicalSequence(tuple(seq), L, R)
-    try:
-        cert = build_certificate(g, cs, windows)
-    except MissingWindow as exc:
-        return _reject(FINAL_CHECK_FAIL, witness=exc.witness)
+    if len(got) == 1:  # a lone component is never flipped
+        state = states[got[0][0]]
+        cs, windows = state.vcs, state.windows
+    else:
+        seq: list = []
+        windows = {}  # neighbourhood -> window in the final sequence
+        for ci, flipped in got:
+            states[ci].place(flipped, seq, windows)
+        cs = sequence_from_iterable(seq)
+    # every cross nonprobe's window is its eaten components and the ends that
+    # settle checked, so a MissingWindow here is a fault, not a REJECT
+    cert = build_certificate(g, cs, windows)
     return RecognitionResult(True, sequence=cs, certificate=cert)
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs through the argument parser; nothing here shells out."""
 
+import importlib
 import io
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from ptpig import graph, parse_tagged_graph, serialize_tagged_graph, tagged_graph
 from ptpig import cli
 from ptpig.cli import main
+from ptpig.recognize import MissingWindow
 
 from .conftest import (
     BAD_WIRE_TEXTS,
@@ -19,6 +21,9 @@ from .conftest import (
     TABLE_CERT,
     no_line_scan,
 )
+
+# the module itself: the package's ``recognize`` attribute is the function
+REC = importlib.import_module("ptpig.recognize")
 
 TABLE_CERT_TEXT = "".join(f"{v} {lo} {hi}\n" for v, (lo, hi) in sorted(TABLE_CERT.items()))
 
@@ -127,7 +132,9 @@ def test_certify_then_verify(tmp_path, capsys):
 def test_verify_explicit_representation(tmp_path, capsys):
     path = write_graph(tmp_path, "c4.txt", 3, 1, C4_EDGES)
     cert = tmp_path / "c4cert.txt"
-    cert.write_text("".join(f"{v} {lo} {hi}\n" for v, (lo, hi) in sorted(C4_CERT.items())))
+    lines = [f"{v} {lo} {hi}\n" for v, (lo, hi) in sorted(C4_CERT.items())]
+    # comments and blank lines are skipped
+    cert.write_text("# C4\n" + "".join(lines[:2]) + "\n   \n" + "".join(lines[2:]) + "# end")
     assert main(["verify", path, str(cert)]) == 0
 
 
@@ -152,8 +159,14 @@ def test_verify_unknown_vertex(tmp_path, capsys):
 def test_verify_duplicate_cert_line(tmp_path, capsys):
     path = write_graph(tmp_path, "k2.txt", 2, 0, [(1, 2)])
     cert = tmp_path / "dup.txt"
-    cert.write_text("1 1 3\n1 1 3\n2 2 4\n")
-    assert main(["verify", path, str(cert)]) == 2
+    for text, message in [
+        ("1 1 3\n1 1 3\n2 2 4\n", "line 2: duplicate vertex 1"),
+        ("1 1 3\n2 2\n", "line 2: expected '<vertex> <lo> <hi>'"),
+        ("# a\n1 a 3\n", "line 2: invalid literal for int() with base 10: 'a'"),
+    ]:
+        cert.write_text(text)
+        assert main(["verify", path, str(cert)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_canonical_golden(tmp_path, capsys):
@@ -243,6 +256,15 @@ def test_bench_single_size(capsys):
     assert out[1] == "slope undefined (single size)"
 
 
+def test_bench_two_sizes_print_a_slope(capsys):
+    assert main(["bench", "--sizes", "200,400", "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 3
+    assert [len(row.split()) for row in out[:2]] == [2, 2]
+    label, slope = out[2].split()
+    assert label == "slope" and float(slope) > 0
+
+
 def test_bench_plants_every_size_then_times_them_in_turn(monkeypatch):
     # a load change part way through should reach every size alike, so no
     # size is timed twice before every size is timed once
@@ -272,11 +294,13 @@ def test_bench_rejects_unsorted_sizes(capsys):
 def test_bench_rejects_malformed_sizes(capsys, monkeypatch):
     # argparse handles the type error itself and exits with usage status 2
     monkeypatch.setattr(cli, "generate", _no_planting)
-    for sizes in ("4x0", "400,1000001"):
+    for sizes, message in [("4x0", "expected comma-separated integers"),
+                           ("400,1000001", "sizes must not exceed 1000000"),
+                           ("0", "sizes must be positive")]:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--sizes", sizes])
         assert exc.value.code == 2
-    assert "sizes must not exceed 1000000" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_internal_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -301,3 +325,18 @@ def test_internal_value_error_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["recognize", path]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["internal error: ValueError: every element must occur exactly twice"]
+
+
+def test_missing_window_after_arrangement_exits_3(tmp_path, capsys, monkeypatch):
+    # once the components are arranged every window exists, so a missing
+    # one is a fault of the program and must not read as REJECT
+    def lost(g, cs, windows=None):
+        raise MissingWindow(g.p + 1)
+
+    monkeypatch.setattr(REC, "build_certificate", lost)
+    with pytest.raises(MissingWindow):
+        REC.recognize(tagged_graph(8, 6, EX36_EDGES))
+    path = write_graph(tmp_path, "a.txt", 8, 6, EX36_EDGES)
+    assert main(["recognize", path]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal error: MissingWindow: sequence admits no window for nonprobe 9"]

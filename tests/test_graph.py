@@ -36,6 +36,8 @@ def test_parse_comments_and_blank_lines():
 def test_parse_missing_header():
     with pytest.raises(GraphFormatError, match="header"):
         parse_tagged_graph("e 1 2\n")
+    with pytest.raises(GraphFormatError, match="^missing 'ptpig <p> <q>' header$"):
+        parse_tagged_graph("# only a comment\n\n")
 
 
 def test_parse_bad_edge_line_names_line_number():
@@ -51,6 +53,8 @@ def test_parse_bad_edge_line_names_line_number():
 def test_parse_self_loop_rejected():
     with pytest.raises(GraphFormatError, match="^line 2: self-loop at vertex 1$"):
         parse_tagged_graph("ptpig 2 0\ne 1 1\n")
+    with pytest.raises(GraphFormatError, match="^self-loop at vertex 1$"):
+        tagged_graph(2, 0, [(1, 1)])
 
 
 def test_parse_out_of_range_rejected():
@@ -84,6 +88,8 @@ def test_duplicate_edges_collapse():
 def test_negative_counts_rejected():
     with pytest.raises(GraphFormatError):
         tagged_graph(-1, 2, [])
+    with pytest.raises(GraphFormatError, match="^line 1: negative count$"):
+        parse_tagged_graph("ptpig -1 2\n")
 
 
 def test_vertex_limit_checked_before_allocation():

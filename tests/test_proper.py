@@ -285,7 +285,7 @@ def test_connected_reduced_sequence_unique_up_to_reversal(pg):
         return
     if compute_blocks(pg).t != pg.n:
         return
-    orders = enumerate_canonical_orderings(pg)
+    orders = enumerate_canonical_orderings(pg, range(1, pg.n + 1))
     if not orders:
         return
     seqs = {canonical_sequence(pg, list(o)).seq for o in orders}

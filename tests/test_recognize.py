@@ -417,6 +417,27 @@ def test_accepts_component_swallowed_whole():
     assert oracle_recognize(g)
 
 
+def test_boundary_set_at_neither_end_tries_the_next_reading(monkeypatch):
+    # a yes-instance whose first settled reading leaves nonprobe 12's set in
+    # its component at neither end: the side check must say so, and settle
+    # then tries the next reading, on which the set takes the left end
+    edges = [(2, 3), (2, 6), (2, 7), (2, 10), (2, 13), (3, 6), (3, 7), (3, 10), (3, 11),
+             (3, 13), (4, 5), (4, 8), (4, 9), (4, 12), (5, 8), (5, 9), (5, 12), (6, 7), (6, 12),
+             (6, 13), (7, 11), (7, 13), (8, 9), (8, 12), (9, 12), (10, 13)]
+    g = tagged_graph(10, 3, edges)
+    side = REC._vertex_side
+    sides = []
+
+    def spy(vcs, nbrs):
+        sides.append(side(vcs, nbrs))
+        return sides[-1]
+
+    monkeypatch.setattr(REC, "_vertex_side", spy)
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert sides == [None, "L"]
+
+
 def test_accepts_probe_free_graph():
     g = tagged_graph(0, 2, [])
     res = recognize(g)
