@@ -20,11 +20,14 @@ children still to be counted and its full or partial mark are fields of
 the node, valid only under the stamp that the call wrote there.  Stamps
 come from one counter for every tree, so a field that an earlier or failed
 call left behind, in this tree or in a clone it adopted, is never read.
-A successful ``restrict`` costs O(|s| + depth), plus the length of each
-partial Q-node dissolved into its parent.  A failed ``restrict`` leaves the
-tree partially rewritten, and recognition never retries after one: it
-rejects.  ``orestrict`` and ``clone`` have no caller in recognition; they
-stay only because the benchmark's tracer wraps them by name.
+``restrict`` first sorts s by the labels' ranks, O(|s| log |s|), so that
+the order in which it meets the leaves, and with it every layout, does not
+depend on hash order.  The rest of a successful ``restrict`` costs
+O(|s| + depth), plus the length of each partial Q-node dissolved into its
+parent.  A failed ``restrict`` leaves the tree partially rewritten, and
+recognition never retries after one: it rejects.  ``orestrict`` and
+``clone`` have no caller in recognition; they stay only because the
+benchmark's tracer wraps them by name.
 """
 
 from __future__ import annotations
@@ -145,9 +148,9 @@ class PQTree:
 
     def _index(self, labels: list) -> None:
         """The universe, each label's rank and its leaf; no root yet."""
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels in universe")
         self._labels = frozenset(labels)
+        if len(self._labels) != len(labels):
+            raise ValueError("duplicate labels in universe")
         self._rank = {x: i for i, x in enumerate(labels)}
         self._leaf = {x: _Node("L", x) for x in labels}
 
@@ -232,19 +235,22 @@ class PQTree:
         Returns False when no such order exists (tree is then spent).
         """
         sset = frozenset(s)
-        if not sset <= self._labels:
-            raise ValueError("restriction set outside universe")
-        size = len(sset)
+        # Stable leaf order: frozenset iteration follows hash order, which is
+        # randomized per process for str labels and would leak into layouts.
+        # A label outside the universe has no rank.
+        try:
+            ordered = sorted(sset, key=self._rank.__getitem__)
+        except KeyError:
+            raise ValueError("restriction set outside universe") from None
+        size = len(ordered)
         if size <= 1 or size == len(self._labels):
             return True
 
         # Bubble up: each node joins its parent's list of pertinent children
         # when first reached, and a walk stops at the first parent already
-        # reached, so only the first walk goes on to the root.  Stable leaf
-        # order: frozenset iteration follows hash order, which is randomized
-        # per process for str labels and would leak into layouts.
+        # reached, so only the first walk goes on to the root.
         stamp = next(_stamps)
-        leaves = [self._leaf[x] for x in sorted(sset, key=self._rank.__getitem__)]
+        leaves = list(map(self._leaf.__getitem__, ordered))
         for node in leaves:
             node.stamp = stamp
             while (par := node.parent) is not None:
@@ -411,9 +417,24 @@ class PQTree:
     # -- reading ----------------------------------------------------------
 
     def frontier(self) -> list:
+        """The leaves' labels, left to right: one admissible order.
+
+        The stack holds, for each node on the way down, the sibling to go on
+        with, so its depth is the tree's and no child list is built.
+        """
+        out: list = []
         if self._root is None:
-            return []
-        return [node.label for node in _preorder(self._root) if node.kind == "L"]
+            return out
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.rsib is not None:
+                stack.append(node.rsib)
+            if node.first is None:
+                out.append(node.label)
+            else:
+                stack.append(node.first)
+        return out
 
     def clone(self) -> "PQTree":
         """An independent copy.  Only ``orestrict`` calls it; it stays while

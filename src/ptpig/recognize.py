@@ -241,25 +241,28 @@ class _CompState:
     def constrain_local(self, w: int, nbrs) -> str | None:
         """Record/apply the constraints for a nonprobe confined to this
         component; returns a reject code on impossibility."""
+        if self.t == 1:
+            # a complete component: seeing the whole block, the window is
+            # the whole component; else nbrs is a partial block, an arc of
+            # the block's order that resolve_circular places and settle checks
+            if len(nbrs) == self.size:
+                self.windows[nbrs] = (self.first, self.last)
+            else:
+                self.window_ws.append((w, nbrs))
+                self.circ.append((w, nbrs))
+            return None
         ngb, fw = block_classes(self.rg, nbrs)
         partials = sorted(k for k in fw if fw[k] == 2)
         if not partials:
             # a window over whole blocks is a perfect substring of the block
-            # sequence, whatever the orders inside the blocks; seeing the
-            # only block, it is the whole component
-            if self.t == 1:
-                got = (self.first, self.last)
-            else:
-                got = perfect_substring_bounds(self.bcs, frozenset(fw))
-                if got is None:
-                    return B1_FAIL
+            # sequence, whatever the orders inside the blocks
+            got = perfect_substring_bounds(self.bcs, frozenset(fw))
+            if got is None:
+                return B1_FAIL
             self.windows[nbrs] = got
             return None
         # the window depends on the orders inside blocks; settle checks it
         self.window_ws.append((w, nbrs))
-        if self.t == 1:
-            self.circ.append((w, frozenset(ngb[partials[0]])))
-            return None
         # every partial block of a window is one of its two end blocks
         pairs = block_window_candidates(self.bcs, fw)
         if not pairs:
@@ -533,6 +536,9 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         if not nbrs or nbrs in seen_nbrs:
             continue
         seen_nbrs.add(nbrs)
+        if qc.r == 1:  # every neighbour lies in the one component
+            local_ws[1].append((w, frozenset(nbrs)))
+            continue
         touched: dict = {}
         for u in nbrs:
             touched.setdefault(qc.component_of[rg.block_of[u]], []).append(u)
@@ -598,25 +604,22 @@ def _arrange_components(states: dict, multi_ws: list):
     """
     if not multi_ws:
         return [(ci, False) for ci in states]
-    tree = PQTree.paired([(("L", ci), ("R", ci)) for ci in states])
+    # component ci's L marker is 2ci - 1 and its R marker 2ci
+    tree = PQTree.paired([(2 * ci - 1, 2 * ci) for ci in states])
     for w, touched in multi_ws:
         tset = set()
         for ci, us in touched.items():
             state = states[ci]
             if len(us) == state.size:
-                tset.add(("L", ci))
-                tset.add(("R", ci))
+                tset.add(2 * ci - 1)
+                tset.add(2 * ci)
             else:
-                tset.add((state.sides[w], ci))
+                tset.add(2 * ci if state.sides[w] == "R" else 2 * ci - 1)
         if not tree.restrict(tset):
             return w
-    layout = []
-    seen = set()
-    for side, ci in tree.frontier():
-        if ci not in seen:
-            seen.add(ci)
-            layout.append((ci, side == "R"))
-    return layout
+    # each component's markers are adjacent, so the first of each pair
+    # tells its orientation
+    return [((x + 1) // 2, x % 2 == 0) for x in tree.frontier()[::2]]
 
 
 # -- certificates ------------------------------------------------------------

@@ -403,13 +403,31 @@ def test_clone_of_a_deep_tree_needs_no_deep_recursion():
     with shallow_stack(100):
         copy = t.clone()
         _check_links(copy)
-        assert copy.frontier() == t.frontier()
+        assert copy.frontier() == t.frontier() == _preorder_leaves(t)
         before = t.serialize()
         assert copy.serialize() == before
         with pytest.raises(FrontierCapExceeded):
             enumerate_frontiers(t, 10)
     assert copy.restrict({n, n + 1}) and copy.serialize() != before
     assert t.serialize() == before
+
+
+def test_frontier_of_an_empty_tree_is_empty():
+    assert PQTree([]).frontier() == []
+
+
+def test_restrict_refuses_a_label_outside_the_universe():
+    # the refusal comes before any change, so the tree restricts on as a
+    # fresh one does; every label plus one is as large as the universe
+    universe = [1, 2, 3, 4]
+    after = [{2, 3}, {1, 2, 3}, {3, 4}]
+    for s in ({9}, {1, 9}, {x + 1 for x in universe}):
+        t = PQTree(universe)
+        before = t.serialize()
+        with pytest.raises(ValueError):
+            t.restrict(s)
+        assert t.serialize() == before
+        assert _restrict_run(t, after) == _restrict_run(PQTree(universe), after)
 
 
 def test_nested_prefix_restricts_take_linear_time():
@@ -507,10 +525,17 @@ def test_restrict_is_monotone(case):
 SMALL_SETS = [frozenset(c) for k in (2, 3, 4) for c in itertools.combinations(range(1, 6), k)]
 
 
+def _preorder_leaves(tree) -> list:
+    """The frontier read by the generic preorder walk."""
+    if tree._root is None:
+        return []
+    return [n.label for n in _preorder(tree._root) if n.kind == "L"]
+
+
 def _check_every_sequence(make, universe, start, depth=3) -> int:
     """Replay every sequence of up to depth SMALL_SETS on a fresh make()
-    and compare each restrict with brute force; returns how many sequences
-    were checked.  A prefix's admissible orders are filtered by each next
+    and compare each restrict, and the frontier it leaves, with brute force
+    and the preorder walk; returns how many sequences were checked.  A prefix's admissible orders are filtered by each next
     set, so brute force never starts again from all permutations."""
     checked = 0
     stack = [((), start)]
@@ -526,6 +551,7 @@ def _check_every_sequence(make, universe, start, depth=3) -> int:
             checked += 1
             if expect:
                 assert frontier_set(t) == expect, [sorted(r) for r in seq]
+                assert t.frontier() == _preorder_leaves(t), [sorted(r) for r in seq]
                 if len(seq) < depth:
                     stack.append((seq, expect))
     return checked

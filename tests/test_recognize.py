@@ -864,6 +864,30 @@ def test_nested_clique_searches_each_window_once(monkeypatch):
     assert res.certificate[2 * m] == (1, 2 * m)
 
 
+def test_one_block_reads_no_block_classes(monkeypatch):
+    # a connected probe graph of one twin block: each window is the whole
+    # block or an arc of it, known without sorting neighbours into blocks
+    calls = []
+    classes = REC.block_classes
+
+    def spy(*args):
+        calls.append(args)
+        return classes(*args)
+
+    monkeypatch.setattr(REC, "block_classes", spy)
+    k5 = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    m = 30
+    graphs = [
+        tagged_graph(5, 2, k5 + [(1, 6), (2, 6)] + [(i, 7) for i in range(1, 6)]),
+        tagged_graph(m, m, [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+                     + [(i, m + k) for k in range(1, m + 1) for i in range(1, k + 1)]),
+    ]
+    for g in graphs:
+        res = recognize(g)
+        assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert calls == []
+
+
 def test_certificate_searches_only_cross_component_windows(monkeypatch):
     # path 1-2-3 and edge 4-5: nonprobes 6 ({1, 2}) and 8 ({5}) are local,
     # 7 and its twin 9 ({3, 4}) cross the gap, 10 sees all of 4-5
