@@ -21,13 +21,12 @@ from .graph import (
     MAX_VERTICES,
     GraphFormatError,
     TaggedGraph,
-    connected_components,
     parse_tagged_graph,
     probe_subgraph,
     serialize_tagged_graph,
 )
 from .oracle import OracleBudgetExceeded, oracle_recognize
-from .proper import _proper_order, _stair
+from .proper import canonical_sequence, recognize_proper_interval
 from .recognize import RecognitionResult, recognize, verify_certificate
 
 _BENCH_SIZES = (10_000, 20_000, 40_000, 80_000)
@@ -130,11 +129,11 @@ def _cmd_verify(args) -> int:
 def _cmd_canonical(args) -> int:
     g = _load_graph(args.path)
     pg = probe_subgraph(g)
-    got = _proper_order(pg, connected_components(pg))  # one umbrella check
-    if got is None:
+    order = recognize_proper_interval(pg)
+    if order is None:
         print("REJECT PROBE_NOT_PROPER", file=sys.stderr)
         return 1
-    print(" ".join(map(str, _stair(*got).seq)))
+    print(" ".join(map(str, canonical_sequence(pg, order).seq)))
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from operator import eq
 
 
@@ -60,13 +61,16 @@ class ReducedGraph:
     """Partition of a probe graph into blocks of equal closed neighborhoods.
 
     blocks[k-1] lists block k's vertices (sorted); block_of maps vertex ->
-    block id; quotient is the block-level graph.  Blocks are numbered by
-    smallest contained vertex, so the decomposition is reproducible.
+    block id; reps[k-1] is block k's smallest vertex, its representative.
+    Blocks are numbered by smallest contained vertex, so the decomposition
+    is reproducible.  Twins share closed neighbourhoods, so the block-level
+    graph needs no copy: block j neighbours block k exactly when reps[j-1]
+    is a neighbour of reps[k-1].
     """
 
     blocks: tuple[tuple[int, ...], ...]
     block_of: tuple[int, ...]
-    quotient: ProbeGraph
+    reps: tuple[int, ...]
 
     @property
     def t(self) -> int:
@@ -246,36 +250,60 @@ def probe_subgraph(g: TaggedGraph) -> ProbeGraph:
 def compute_blocks(g: ProbeGraph) -> ReducedGraph:
     """Group vertices with equal closed neighborhoods into blocks.
 
-    Open neighborhoods are sorted tuples, so each closed neighborhood, the
-    grouping key, is one with the vertex itself inserted in place.
+    Vertices are first grouped by a fingerprint of the closed neighbourhood
+    read off the sorted adjacency in O(1): its size, smallest and largest
+    vertex.  Twins share it, so a vertex alone in its group is a block
+    alone, and only a group of two or more is split by the exact key, the
+    closed neighbourhood (the open one with the vertex inserted in place).
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(1, g.n + 1):
-        nb = g.adj[v]
-        i = bisect_left(nb, v)
-        groups.setdefault(nb[:i] + (v,) + nb[i:], []).append(v)
+    adj = g.adj
+    size = g.n + 1
+    first: dict[int, int] = {}  # fingerprint -> its smallest vertex
+    more: dict[int, list[int]] = {}  # fingerprint -> its vertices, if two or more
+    for v, nb in enumerate(adj):  # adj[0] is empty: vertex 0 is alone
+        if nb:
+            lo = nb[0]
+            hi = nb[-1]
+            key = (len(nb) * size + (lo if lo < v else v)) * size + (hi if hi > v else v)
+        else:  # isolated: below every other key
+            key = v
+        u = first.setdefault(key, v)
+        if u != v:
+            grp = more.get(key)
+            if grp is None:
+                more[key] = [u, v]
+            else:
+                grp.append(v)
 
-    blocks = list(groups.values())  # each first inserted at its smallest vertex
-    block_of = [0] * (g.n + 1)
-    for k, vs in enumerate(blocks, start=1):
-        for v in vs:
+    lead: dict[int, tuple[int, ...]] = {}  # smallest vertex -> a block of two or more
+    for grp in more.values():
+        exact: dict[tuple[int, ...], list[int]] = {}
+        for v in grp:
+            nb = adj[v]
+            i = bisect_left(nb, v)
+            exact.setdefault(nb[:i] + (v,) + nb[i:], []).append(v)
+        for vs in exact.values():
+            if len(vs) > 1:
+                lead[vs[0]] = tuple(vs)
+
+    # a vertex heads its block unless a smaller twin does; counting heads
+    # numbers the blocks by smallest vertex
+    head = bytearray(b"\1") * size
+    head[0] = 0
+    for vs in lead.values():
+        for v in vs[1:]:
+            head[v] = 0
+    block_of = list(accumulate(head))
+    blocks = list(zip(range(size)))  # (v,) at index v
+    for h, vs in lead.items():
+        blocks[h] = vs
+        k = block_of[h]
+        for v in vs[1:]:
             block_of[v] = k
-
-    t = len(blocks)
-    qadj: list[tuple[int, ...]] = [()]
-    for k, vs in enumerate(blocks, start=1):
-        rep = vs[0]
-        seen = set()
-        for u in g.adj[rep]:
-            b = block_of[u]
-            if b != k:
-                seen.add(b)
-        qadj.append(tuple(sorted(seen)))
-    quotient = ProbeGraph(n=t, adj=tuple(qadj))
     return ReducedGraph(
-        blocks=tuple(tuple(vs) for vs in blocks),
+        blocks=tuple(compress(blocks, head)),
         block_of=tuple(block_of),
-        quotient=quotient,
+        reps=tuple(compress(range(size), head)),
     )
 
 

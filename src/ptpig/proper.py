@@ -4,17 +4,17 @@ A canonical ordering places every closed neighborhood consecutively; the
 stair sequence lists each vertex twice so that intervals [first, second]
 realize the graph.  Both exist exactly for proper interval graphs, and for
 connected reduced graphs the sequence is unique up to reversal.  Recognition
-checks one ordering per component; that check alone decides, and the
-rightmost neighbors it finds are all the stair sequence needs.
+orders the twin blocks, walking only their smallest vertices, and checks
+that one ordering per component; the check alone decides, and the rightmost
+neighbours it finds are all the stair sequence needs.  A vertex ordering is
+the block ordering with each block expanded in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from operator import eq, itemgetter
 
-from .graph import ComponentDecomposition, ProbeGraph, connected_components
+from .graph import ProbeGraph, ReducedGraph, compute_blocks
 
 
 @dataclass(frozen=True)
@@ -44,75 +44,6 @@ def sequence_from_iterable(seq) -> CanonicalSequence:
     return CanonicalSequence(seq=seq, L=first, R=second)
 
 
-def _normalize_component_order(fr: list, spans: list) -> tuple[list, list]:
-    """Deterministic representative among the equivalent orderings, and each
-    of its positions' rightmost closed-neighbor position.
-
-    Twins (equal closed neighborhoods) are interchangeable wherever they sit,
-    and the whole component may be read in either direction.  In an umbrella
-    ordering the twins are the runs of equal closed-neighborhood spans; sort
-    each run ascending and keep the lexicographically smaller direction.
-    Sorting a run keeps its span at every position; reading backwards, the
-    vertex at position j came from n - 1 - j and now reaches n - 1 - lo.
-    """
-    if not any(map(eq, spans, spans[1:])):  # no twins: every run is one vertex
-        fwd = list(fr)
-        rev = fwd[::-1]
-    else:
-        runs = [[v for _, v in grp] for _, grp in groupby(zip(spans, fr), key=itemgetter(0))]
-        for run in runs:
-            if len(run) > 1:
-                run.sort()
-        fwd = [v for run in runs for v in run]
-        rev = [v for run in reversed(runs) for v in run]
-    if fwd <= rev:
-        return fwd, [hi for _, hi in spans]
-    return rev, [len(fr) - 1 - lo for lo, _ in reversed(spans)]
-
-
-def _last_layer(adj, root, seen: bytearray) -> list:
-    """The farthest BFS layer from root; marks the component in seen."""
-    seen[root] = 1
-    layer, nxt = [], [root]
-    while nxt:
-        layer, nxt = nxt, []
-        for v in layer:
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    nxt.append(u)
-    return layer
-
-
-def _end_bfs_order(adj, end, dist: list, key: list, m: int) -> list:
-    """BFS from end, each layer sorted by key = fwd - m * back (m > any degree),
-    counting neighbors in the layers after and before in the same scan."""
-    dist[end] = 0
-    layer = [end]
-    out: list = []
-    d = 0
-    while layer:
-        d += 1
-        nxt = []
-        for v in layer:
-            fwd = 0
-            for u in adj[v]:
-                du = dist[u]
-                if du < 0:
-                    dist[u] = d
-                    key[u] = -m
-                    nxt.append(u)
-                    fwd += 1
-                elif du == d:
-                    key[u] -= m
-                    fwd += 1
-            key[v] += fwd
-        layer.sort(key=key.__getitem__)
-        out.extend(layer)
-        layer = nxt
-    return out
-
-
 def _umbrella_spans(g: ProbeGraph, order) -> list | None:
     """Each position's closed-neighborhood span (lo, hi), or None when some
     closed neighborhood is not consecutive in order."""
@@ -132,55 +63,158 @@ def _umbrella_spans(g: ProbeGraph, order) -> list | None:
     return spans
 
 
+@dataclass(frozen=True)
+class BlockOrder:
+    """A canonical ordering of a probe graph's blocks, one component after
+    another in the order of their smallest vertices.
+
+    order lists block ids; upper[i] is the rightmost position of a block
+    that neighbours or is the block at position i; component c occupies
+    order[ends[c-2]:ends[c-1]] (from 0 for c = 1); component_of maps each
+    block id to its component (index 0 unused).
+    """
+
+    order: list
+    upper: list
+    ends: list
+    component_of: list
+
+
+def order_blocks(g: ProbeGraph, rg: ReducedGraph) -> BlockOrder | None:
+    """The canonical block ordering of g, or None if g is not a proper
+    interval graph.
+
+    The walk is over block representatives: since twins share closed
+    neighbourhoods, block k's neighbour blocks are exactly those whose
+    representatives neighbour reps[k-1], so the block-level graph is the
+    subgraph the representatives induce, and it has no twins.  Per
+    component, with v1..vt an umbrella ordering of it (every N[vi] an
+    interval [l(i), r(i)], l and r nondecreasing):
+    1. BFS distances from any x never decrease moving away from x along the
+       ordering, so the first BFS's last layer is a clique prefix [1, a]
+       (where N[vi] = [1, r(i)]), a clique suffix [b, t] (where N[vi] =
+       [l(i), t]), or both: its minimum-degree vertex is v1 or vt, as
+       N[v1] is strictly inside every other N[vi] of the prefix (there are
+       no twins), and N[vt] of the suffix.  Expanding blocks keeps strict
+       containment, so a representative's degree in g serves.  The same
+       BFS finds the component.
+    2. From an end every layer is a clique and a run of the ordering.  In
+       layer k >= 1 the count of neighbours in layer k - 1 fixes l and the
+       count in layer k + 1 fixes r, so the second BFS, sorting each layer
+       by (-back, fwd), gives the umbrella ordering.
+    3. The check that each closed neighbourhood spans deg + 1 positions,
+       which alone decides, counts the degrees and finds upper.
+    A twin-free connected proper interval graph has one umbrella ordering
+    up to reversal (Roberts 1969; Deng, Hell and Huang, SIAM J. Comput. 25,
+    1996); the direction kept starts at the smaller block id, and the
+    reversal of an umbrella ordering is one too, so it is checked as kept.
+    """
+    adj = g.adj
+    size = g.n + 1
+    reps = rg.reps
+    comp = [-1] * size  # -1 off the representatives, else 0 until reached
+    for r in reps:
+        comp[r] = 0
+    # the second BFS's layers: -1 until reached, size off the representatives
+    dist = [size] * size
+    key = [0] * size
+    pos = [0] * size
+    order: list = []
+    upper: list = []
+    ends: list = []
+    cid = 0
+
+    for s in reps:
+        if comp[s]:
+            continue
+        cid += 1
+        comp[s] = cid
+        dist[s] = -1
+        layer, nxt = [], [s]
+        while nxt:
+            layer, nxt = nxt, []
+            for v in layer:
+                for u in adj[v]:
+                    if not comp[u]:
+                        comp[u] = cid
+                        dist[u] = -1
+                        nxt.append(u)
+        base = len(order)
+        if layer[0] == s:  # a one-block component
+            order.append(s)
+            upper.append(base)
+            ends.append(base + 1)
+            continue
+        end = min(layer, key=lambda v: len(adj[v]))
+
+        dist[end] = 0
+        layer = [end]
+        cand: list = []
+        d = 0
+        while layer:
+            d += 1
+            nxt = []
+            for v in layer:
+                fwd = 0
+                for u in adj[v]:
+                    du = dist[u]
+                    if du < 0:
+                        dist[u] = d
+                        key[u] = -size
+                        nxt.append(u)
+                        fwd += 1
+                    elif du == d:
+                        key[u] -= size
+                        fwd += 1
+                key[v] += fwd
+            layer.sort(key=key.__getitem__)
+            cand.extend(layer)
+            layer = nxt
+
+        if cand[0] > cand[-1]:
+            cand.reverse()
+        for i, v in enumerate(cand, base):
+            pos[v] = i
+        for v in cand:
+            lo = hi = pos[v]
+            d = 0
+            for u in adj[v]:
+                if comp[u] > 0:
+                    d += 1
+                    pu = pos[u]
+                    if pu < lo:
+                        lo = pu
+                    elif pu > hi:
+                        hi = pu
+            if hi - lo != d:
+                return None
+            upper.append(hi)
+        order.extend(cand)
+        ends.append(len(order))
+    block_of = rg.block_of
+    return BlockOrder(
+        order=list(map(block_of.__getitem__, order)),
+        upper=upper,
+        ends=ends,
+        component_of=[0, *map(comp.__getitem__, reps)],
+    )
+
+
 def recognize_proper_interval(g: ProbeGraph):
     """A vertex ordering with all closed neighborhoods consecutive, or None.
 
-    Components are ordered independently, each by two plain BFS passes and a
-    sort, and concatenated in index order.  Let v1..vn be an umbrella
-    ordering: every N[vi] is an interval [l(i), r(i)], l and r nondecreasing.
-    1. BFS distances from any x never decrease moving away from x along the
-       ordering, so the last layer is a clique prefix [1, a] (where N[vi] =
-       [1, r(i)]), a clique suffix [b, n] (where N[vi] = [l(i), n]), or both:
-       a minimum-degree vertex of it is v1, vn or a twin of one, an end.
-    2. From an end every layer is a clique and a run of the ordering.  In
-       layer k >= 1 the count of neighbors in layer k - 1 fixes l and the
-       count in layer k + 1 fixes r, so sorting by (k, -back, fwd) gives the
-       umbrella ordering up to the order of twins.
-    That ordering is unique up to reversal and twins (Roberts 1969; Deng,
-    Hell and Huang, SIAM J. Comput. 25, 1996), so the normalized result does
-    not depend on the start or on ties.  On any other graph the umbrella
-    check, which alone decides, rejects whatever the sort gives.
+    The canonical block ordering, each block's vertices in ascending order:
+    twins expand into staggered copies of their block's interval.  Up to
+    reversal and the order of twins a connected proper interval graph has
+    one such ordering, so the result is its one representative that reads
+    twins ascending and starts at the smaller end.
     """
-    got = _proper_order(g, connected_components(g))
-    return None if got is None else got[0]
-
-
-def _proper_order(g: ProbeGraph, comp: ComponentDecomposition):
-    """recognize_proper_interval for a caller that has g's components:
-    (order, upper), upper[i] the rightmost closed-neighbor position of
-    position i, read off the umbrella check; or None."""
-    adj = g.adj
-    m = g.n + 1
-    seen = bytearray(m)
-    dist = [-1] * m
-    key = [0] * m
-    order: list[int] = []
-    upper: list[int] = []
-    for vs in comp.components:
-        base = len(order)
-        if len(vs) == 1:
-            order.append(vs[0])
-            upper.append(base)
-            continue
-        end = min(_last_layer(adj, vs[0], seen), key=lambda v: len(adj[v]))
-        cand = _end_bfs_order(adj, end, dist, key, m)
-        spans = _umbrella_spans(g, cand)
-        if spans is None:
-            return None
-        fr, hi = _normalize_component_order(cand, spans)
-        order.extend(fr)
-        upper.extend(base + h for h in hi)
-    return tuple(order), upper
+    rg = compute_blocks(g)
+    bo = order_blocks(g, rg)
+    if bo is None:
+        return None
+    blocks = rg.blocks
+    return tuple(v for k in bo.order for v in blocks[k - 1])
 
 
 def _stair(order, upper) -> CanonicalSequence:

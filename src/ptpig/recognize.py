@@ -5,9 +5,11 @@ Accepts exactly the graphs whose probe subgraph admits a canonical ordering
 substring* in the doubled stair sequence: a contiguous stretch containing
 only its neighbors and each neighbor at least once.  One pipeline:
 
-  1. nonprobe independence, the probe subgraph and its components;
-  2. twin blocks, the block ordering and the block stair sequence, once for
-     the whole probe graph; each component works on its own slice of them;
+  1. nonprobe independence and the probe subgraph;
+  2. once for the whole probe graph: the twin blocks, the block ordering
+     with its components (two BFS passes over the blocks' smallest
+     vertices) and the block stair sequence; each component works on its
+     own slice of them;
   3. per component, constrain each block's internal order with one PQ-tree
      (end markers included), driven by a window analysis of the block stair
      sequence per nonprobe, then settle the component's vertex sequence;
@@ -36,15 +38,14 @@ from .graph import (
     ReducedGraph,
     TaggedGraph,
     compute_blocks,
-    connected_components,
     probe_subgraph,
     validate_nonprobe_independence,
 )
 from .pqtree import MARK_LEFT, MARK_RIGHT, PQTree, strip_markers
 from .proper import (
     CanonicalSequence,
-    _proper_order,
     _stair,
+    order_blocks,
     sequence_from_iterable,
 )
 
@@ -507,28 +508,28 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         return _reject(NONPROBE_EDGE, witness=bad[0], edge=bad)
     pg = probe_subgraph(g)
     rg = compute_blocks(pg)
-    # twins are adjacent and blocks are numbered by their smallest vertex, so
-    # the quotient's components are the probe graph's, in the same order
-    qc = connected_components(rg.quotient)
-    # the quotient is proper interval iff the probe graph is: twins expand
-    # into staggered copies of their block's interval
-    got = _proper_order(rg.quotient, qc)
-    if got is None:
+    # the block graph is proper interval iff the probe graph is: twins
+    # expand into staggered copies of their block's interval
+    bo = order_blocks(pg, rg)
+    if bo is None:
         return _reject(PROBE_NOT_PROPER)
-    border, upper = got
-    bcs = _stair(border, upper)
+    border = bo.order
+    bcs = _stair(border, bo.upper)
+    r = len(bo.ends)
     states: dict = {}
     lo = 0
-    for ci, ks in enumerate(qc.components, 1):
-        size = sum(len(rg.blocks[k - 1]) for k in ks)
-        states[ci] = _CompState(rg, bcs, border[lo:lo + len(ks)], lo, size)
-        lo += len(ks)
+    for ci, hi in enumerate(bo.ends, 1):
+        ks = border[lo:hi]
+        size = g.p if r == 1 else sum(len(rg.blocks[k - 1]) for k in ks)  # probes
+        states[ci] = _CompState(rg, bcs, ks, lo, size)
+        lo = hi
     # a connected, twin-free probe part has one stair sequence up to
     # reversal; a nonprobe without a window there is reported as A1_FAIL
-    missing = A1_FAIL if qc.r == 1 and rg.t == g.p else B1_FAIL
+    missing = A1_FAIL if r == 1 and rg.t == g.p else B1_FAIL
 
     local_ws = {ci: [] for ci in states}
     multi_ws = []
+    component_of, block_of = bo.component_of, rg.block_of
     # a twin of an earlier nonprobe repeats its constraints: no-op restricts
     seen_nbrs = set()
     for w in range(g.p + 1, g.n + 1):
@@ -536,12 +537,12 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         if not nbrs or nbrs in seen_nbrs:
             continue
         seen_nbrs.add(nbrs)
-        if qc.r == 1:  # every neighbour lies in the one component
+        if r == 1:  # every neighbour lies in the one component
             local_ws[1].append((w, frozenset(nbrs)))
             continue
         touched: dict = {}
         for u in nbrs:
-            touched.setdefault(qc.component_of[rg.block_of[u]], []).append(u)
+            touched.setdefault(component_of[block_of[u]], []).append(u)
         if len(touched) == 1:
             ci = next(iter(touched))
             local_ws[ci].append((w, frozenset(nbrs)))

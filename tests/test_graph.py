@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ptpig import (
     GraphFormatError,
@@ -19,6 +19,7 @@ from ptpig import graph
 from ptpig.graph import MAX_VERTICES
 
 from .conftest import BAD_WIRE_TEXTS, EX33_EDGES, EX36_EDGES, no_line_scan
+from .reference_blocks import reference_compute_blocks
 
 
 def test_parse_minimal():
@@ -308,6 +309,95 @@ def test_blocks_form_a_quotient(pair):
                 for x in rg.blocks[ka - 1]:
                     for y in rg.blocks[kb - 1]:
                         assert y in closed[x]
+    # the block-level graph read off the representatives, each block's
+    # smallest vertex, is the reference's quotient
+    assert rg.reps == tuple(blk[0] for blk in rg.blocks)
+    quotient = reference_compute_blocks(pg)[2]
+    reps = set(rg.reps)
+    for k, r in enumerate(rg.reps, 1):
+        assert tuple(rg.block_of[u] for u in pg.adj[r] if u in reps) == quotient.adj[k]
+
+
+def check_blocks(pg):
+    """compute_blocks against the reference: the same blocks, numbering
+    included, and representatives."""
+    rg = compute_blocks(pg)
+    blocks, block_of, _ = reference_compute_blocks(pg)
+    assert (rg.blocks, rg.block_of) == (blocks, block_of)
+    assert rg.reps == tuple(blk[0] for blk in blocks)
+    return rg
+
+
+@st.composite
+def twin_graphs(draw):
+    """Random graphs in which some vertices get twins: a copy of v is
+    joined to v and to v's neighbours at the time, and then every vertex
+    is relabelled at random."""
+    n, edges = draw(edge_sets)
+    nbrs = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for src in draw(st.lists(st.integers(1, n), max_size=4)):
+        c = len(nbrs) + 1
+        nbrs[c] = nbrs[src] | {src}
+        for u in nbrs[c]:
+            nbrs[u].add(c)
+    label = draw(st.permutations(range(1, len(nbrs) + 1)))
+    return probe_subgraph(tagged_graph(
+        len(nbrs), 0, [(label[u - 1], label[v - 1]) for u in nbrs for v in nbrs[u] if u < v]))
+
+
+@given(twin_graphs())
+@settings(max_examples=300, deadline=None)
+def test_blocks_match_the_reference(pg):
+    check_blocks(pg)
+
+
+def test_blocks_split_a_fingerprint_collision():
+    # the C4 1-2-5-3: N[2] = {1, 2, 5} and N[3] = {1, 3, 5} have the same
+    # size, smallest and largest vertex, but 2 and 3 are not twins
+    pg = probe_subgraph(tagged_graph(5, 0, [(1, 2), (2, 5), (5, 3), (3, 1)]))
+    rg = check_blocks(pg)
+    assert rg.blocks == ((1,), (2,), (3,), (4,), (5,))
+
+
+def test_blocks_split_many_non_twins_sharing_a_fingerprint():
+    # 1 and n see every middle vertex; the middle vertices pair up, so
+    # every pair {2i, 2i + 1} shares N = {1, 2i, 2i + 1, n}: all pairs have
+    # one fingerprint and so do the lone middle vertices, but only the two
+    # vertices of a pair are twins
+    n = 40
+    edges = [(a, v) for v in range(2, n) for a in (1, n)]
+    edges += [(v, v + 1) for v in range(2, 30, 2)]
+    pg = probe_subgraph(tagged_graph(n, 0, edges))
+    rg = check_blocks(pg)
+    assert rg.blocks == ((1,), *((v, v + 1) for v in range(2, 30, 2)),
+                         *((v,) for v in range(30, n + 1)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocks_match_the_reference_on_large_graphs(seed):
+    # a sparse random graph with every tenth vertex copied, some twice
+    rng = random.Random(seed)
+    n = 600
+    nbrs = {v: set() for v in range(1, n + 1)}
+    for _ in range(2 * n):
+        u, v = rng.sample(range(1, n + 1), 2)
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for src in rng.sample(range(1, n + 1), n // 10) * 2:
+        if rng.random() < 0.6:
+            c = len(nbrs) + 1
+            nbrs[c] = nbrs[src] | {src}
+            for u in nbrs[c]:
+                nbrs[u].add(c)
+    label = list(range(1, len(nbrs) + 1))
+    rng.shuffle(label)
+    pg = probe_subgraph(tagged_graph(
+        len(nbrs), 0, [(label[u - 1], label[v - 1]) for u in nbrs for v in nbrs[u] if u < v]))
+    rg = check_blocks(pg)
+    assert rg.t < pg.n
 
 
 @given(edge_sets)

@@ -17,15 +17,15 @@ from ptpig import (
 )
 from ptpig.graph import ProbeGraph
 from ptpig.oracle import enumerate_canonical_orderings
-from ptpig.proper import (
-    _last_layer,
-    _normalize_component_order,
-    _proper_order,
-    _stair,
-    _umbrella_spans,
-)
+from ptpig.proper import _stair, _umbrella_spans, order_blocks
 
 from .conftest import EX22_STAIR, EX33_PROBE_STAIR, shallow_stack
+from .reference_blocks import (
+    last_layer,
+    normalize_component_order,
+    reference_compute_blocks,
+    reference_proper_order,
+)
 
 CLAW = [(1, 2), (1, 3), (1, 4)]
 C4 = [(1, 2), (2, 3), (3, 4), (1, 4)]
@@ -74,8 +74,14 @@ def test_first_bfs_reaches_both_ends_at_once():
     # lowest-numbered vertex, 1, in the middle; its last layer {3, 6, 7}
     # holds the left end (degree 1), the right end 7 (degree 2) and 6,
     # which is no end (degree 3).
+    # The graph is twin-free, so its blocks are its vertices.
     pg = pg_of(7, [(1, 2), (2, 3), (1, 4), (1, 5), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)])
-    assert sorted(_last_layer(pg.adj, 1, bytearray(8))) == [3, 6, 7]
+    assert sorted(last_layer(pg.adj, 1, bytearray(8))) == [3, 6, 7]
+    rg = compute_blocks(pg)
+    assert rg.reps == tuple(range(1, 8))
+    bo = order_blocks(pg, rg)
+    assert bo.order == [3, 2, 1, 4, 5, 6, 7]
+    assert _stair(bo.order, bo.upper) == canonical_sequence(pg, bo.order)
     order = recognize_proper_interval(pg)
     assert order is not None and _umbrella_spans(pg, order) is not None
     assert list(order) == [3, 2, 1, 4, 5, 6, 7]
@@ -85,8 +91,13 @@ def test_end_is_min_degree_of_a_one_sided_last_layer():
     # umbrella order 1..5 with spans [1,3], [1,4], [1,5], [2,5], [3,5]:
     # from 1 the last layer is the clique {4, 5}.  Only 5, of smaller
     # degree, is an end; starting the second BFS at 4 breaks the order.
+    # The walk over representatives must start its second BFS at 5.
     pg = pg_of(5, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5)])
-    assert sorted(_last_layer(pg.adj, 1, bytearray(6))) == [4, 5]
+    assert sorted(last_layer(pg.adj, 1, bytearray(6))) == [4, 5]
+    rg = compute_blocks(pg)
+    assert rg.t == 5
+    bo = order_blocks(pg, rg)
+    assert bo.order == [1, 2, 3, 4, 5] and bo.upper == [2, 3, 4, 4, 4]
     order = recognize_proper_interval(pg)
     assert order is not None and _umbrella_spans(pg, order) is not None
     assert list(order) == [1, 2, 3, 4, 5]
@@ -161,10 +172,10 @@ def block_layer(pg):
     """Twin blocks, block ordering and block stair sequence, as the
     recognizer computes them, or None when pg is not proper interval."""
     rg = compute_blocks(pg)
-    order = recognize_proper_interval(rg.quotient)
-    if order is None:
+    bo = order_blocks(pg, rg)
+    if bo is None:
         return None
-    return rg, order, canonical_sequence(rg.quotient, order)
+    return rg, bo.order, _stair(bo.order, bo.upper)
 
 
 def test_block_sequence_golden(ex22):
@@ -267,15 +278,62 @@ def unit_graphs(draw):
 @example(pg_of(4, [(1, 2), (1, 3), (2, 3), (3, 4)]))  # twins 1, 2, reversed too
 @settings(max_examples=300, deadline=None)
 def test_carried_positions_give_the_stair_sequence(pg):
-    # the positions carried out of the umbrella check, through twin sorting
-    # and reversal, build the same sequence as a fresh check of the order
-    for q in (pg, compute_blocks(pg).quotient):
-        got = _proper_order(q, connected_components(q))
-        if got is None:
-            assert recognize_proper_interval(q) is None
-            continue
-        order, upper = got
-        assert _stair(order, upper) == canonical_sequence(q, order)
+    # the positions carried out of the umbrella check, through reversal,
+    # build the same sequence as a fresh check of the block order on the
+    # block-level graph; and the vertex order expands it
+    bo = order_blocks(pg, compute_blocks(pg))
+    order = recognize_proper_interval(pg)
+    if bo is None:
+        assert order is None
+        return
+    quotient = reference_compute_blocks(pg)[2]
+    assert _stair(bo.order, bo.upper) == canonical_sequence(quotient, bo.order)
+    assert _umbrella_spans(pg, order) is not None
+
+
+def check_block_order(pg):
+    """order_blocks against the quotient reference: the same block order,
+    upper positions, components and component of each block, or None
+    where the reference has none."""
+    quotient = reference_compute_blocks(pg)[2]
+    qc = connected_components(quotient)
+    want = reference_proper_order(quotient, qc)
+    bo = order_blocks(pg, compute_blocks(pg))
+    if want is None:
+        assert bo is None
+        return None
+    assert (tuple(bo.order), bo.upper) == want
+    starts = [0, *bo.ends[:-1]]
+    assert tuple(tuple(sorted(bo.order[a:b])) for a, b in zip(starts, bo.ends)) == qc.components
+    assert tuple(bo.component_of) == qc.component_of
+    return bo
+
+
+@given(st.one_of(probe_graphs, unit_graphs()))
+@example(pg_of(4, CLAW))
+@example(pg_of(6, TENT))
+@example(pg_of(5, [(1, 2), (2, 5), (3, 5), (1, 3)]))  # C4 on 1 2 5 3, with 4 alone
+@settings(max_examples=400, deadline=None)
+def test_block_order_matches_the_quotient_reference(pg):
+    check_block_order(pg)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_block_order_matches_the_reference_on_large_graphs(seed):
+    # unit layouts with twins and several components; every second one
+    # gets a few random edges, which mostly break it somewhere inside
+    rng = random.Random(seed)
+    pg, _ = unit_layout(rng, rng.randint(200, 1500), rng.randint(1, 5))
+    if seed % 2:
+        adj = [set(a) for a in pg.adj]
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(1, pg.n + 1), 2)
+            adj[u].add(v)
+            adj[v].add(u)
+        pg = ProbeGraph(n=pg.n, adj=tuple(tuple(sorted(a)) for a in adj))
+    bo = check_block_order(pg)
+    if seed % 2 == 0:
+        assert bo is not None
 
 
 @given(probe_graphs)
@@ -330,32 +388,47 @@ def test_large_unit_layouts_order_as_planted(seed):
     pg, planted = unit_layout(rng, rng.randint(500, 3000), rng.randint(1, 6))
     order = recognize_proper_interval(pg)
     assert order is not None and _umbrella_spans(pg, order) is not None
+    # per component, the planted order with twins ascending, read from
+    # its smaller end
     rank = {v: i for i, v in enumerate(planted)}
     at = 0
     for comp in connected_components(pg).components:
         fr = sorted(comp, key=rank.get)
-        assert list(order[at:at + len(comp)]) == _normalize_component_order(fr, _umbrella_spans(pg, fr))[0]
+        assert list(order[at:at + len(comp)]) == normalize_component_order(fr, _umbrella_spans(pg, fr))[0]
         at += len(comp)
 
 
-def test_proper_order_takes_linear_time():
-    # vertex i sits at 0.4 i, so N[i] = [i-2, i+2]: twin-free, connected,
-    # diameter n/2, with the labels shuffled so that the first BFS starts
-    # mid-path.  Two BFS passes and a sort per layer are linear; nothing
-    # may recurse.
+def check_slot_path(twins):
+    # slot i sits at 0.4 i, so N[i] = [i-2, i+2]: connected, diameter about
+    # n/2, with the labels shuffled so that the first BFS starts mid-path.
+    # Each slot holds `twins` vertices.  Blocks, two BFS passes over their
+    # representatives and a sort per layer are linear; nothing may recurse.
     n = 200_000
     label = list(range(1, n + 1))
     random.Random(5).shuffle(label)
+    slots = [label[i:i + twins] for i in range(0, n, twins)]
     nbrs = [[] for _ in range(n + 1)]
-    for i in range(n - 1):
-        for j in (i + 1, i + 2):
-            if j < n:
-                nbrs[label[i]].append(label[j])
-                nbrs[label[j]].append(label[i])
-    pg = ProbeGraph(n=n, adj=tuple(tuple(sorted(a)) for a in nbrs))
+    for i, slot in enumerate(slots):
+        near = [u for j in (i, i + 1, i + 2) if j < len(slots) for u in slots[j]]
+        for v in slot:
+            for u in near:
+                if u != v:
+                    nbrs[v].append(u)
+                    nbrs[u].append(v)
+    pg = ProbeGraph(n=n, adj=tuple(tuple(sorted(set(a))) for a in nbrs))
     with shallow_stack(60):
         t0 = time.perf_counter()
         order = recognize_proper_interval(pg)
         elapsed = time.perf_counter() - t0
     assert elapsed < 10
-    assert list(order) == min(label, label[::-1])
+    fwd = [v for slot in slots for v in sorted(slot)]
+    rev = [v for slot in reversed(slots) for v in sorted(slot)]
+    assert list(order) == min(fwd, rev)
+
+
+def test_proper_order_takes_linear_time():
+    check_slot_path(1)
+
+
+def test_proper_order_of_twin_pairs_takes_linear_time():
+    check_slot_path(2)

@@ -24,7 +24,7 @@ from ptpig import (
     two_stretch_filter,
     verify_certificate,
 )
-from ptpig.proper import _proper_order, _stair
+from ptpig.proper import _stair, order_blocks
 from ptpig.recognize import _CompState, block_classes, block_window_candidates
 
 from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack
@@ -141,11 +141,11 @@ def test_block_window_candidates_match_reference(case, data):
 
 def _component_state(p, edges):
     """The _CompState of a connected probe graph on 1..p."""
-    rg = compute_blocks(probe_subgraph(tagged_graph(p, 0, edges)))
-    qc = connected_components(rg.quotient)
-    assert qc.r == 1
-    border, upper = _proper_order(rg.quotient, qc)
-    return _CompState(rg, _stair(border, upper), border, 0, p)
+    pg = probe_subgraph(tagged_graph(p, 0, edges))
+    rg = compute_blocks(pg)
+    bo = order_blocks(pg, rg)
+    assert bo.ends == [rg.t]
+    return _CompState(rg, _stair(bo.order, bo.upper), bo.order, 0, p)
 
 
 def _chain_state(groups):
