@@ -26,6 +26,7 @@ from .proper import (
     canonical_sequence,
     recognize_proper_interval,
     sequence_from_iterable,
+    stair_sequence,
 )
 from .recognize import (
     RecognitionResult,
@@ -61,6 +62,7 @@ __all__ = [
     "recognize_proper_interval",
     "sequence_from_iterable",
     "serialize_tagged_graph",
+    "stair_sequence",
     "tagged_graph",
     "two_stretch_filter",
     "validate_nonprobe_independence",

@@ -26,7 +26,7 @@ from .graph import (
     serialize_tagged_graph,
 )
 from .oracle import OracleBudgetExceeded, oracle_recognize
-from .proper import canonical_sequence, recognize_proper_interval
+from .proper import stair_sequence
 from .recognize import RecognitionResult, recognize, verify_certificate
 
 _BENCH_SIZES = (10_000, 20_000, 40_000, 80_000)
@@ -128,12 +128,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_canonical(args) -> int:
     g = _load_graph(args.path)
-    pg = probe_subgraph(g)
-    order = recognize_proper_interval(pg)
-    if order is None:
+    cs = stair_sequence(probe_subgraph(g))
+    if cs is None:
         print("REJECT PROBE_NOT_PROPER", file=sys.stderr)
         return 1
-    print(" ".join(map(str, canonical_sequence(pg, order).seq)))
+    print(" ".join(map(str, cs.seq)))
     return 0
 
 

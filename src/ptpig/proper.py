@@ -217,6 +217,29 @@ def recognize_proper_interval(g: ProbeGraph):
     return tuple(v for k in bo.order for v in blocks[k - 1])
 
 
+def stair_sequence(g: ProbeGraph) -> CanonicalSequence | None:
+    """The stair sequence of recognize_proper_interval(g)'s ordering, or None
+    if g is not a proper interval graph.
+
+    The block check already found each block's rightmost neighbour block,
+    so the ordering is not checked again: every vertex of the block at
+    position i has its rightmost closed neighbour at the last vertex of the
+    block at position upper[i].
+    """
+    rg = compute_blocks(g)
+    bo = order_blocks(g, rg)
+    if bo is None:
+        return None
+    blocks = rg.blocks
+    order: list = []
+    last: list = []  # each block position's last vertex position
+    for k in bo.order:
+        order.extend(blocks[k - 1])
+        last.append(len(order) - 1)
+    upper = [last[u] for k, u in zip(bo.order, bo.upper) for _ in blocks[k - 1]]
+    return _stair(order, upper)
+
+
 def _stair(order, upper) -> CanonicalSequence:
     """The stair sequence of a canonical ordering, upper[i] >= i the rightmost
     closed-neighbor position of position i: walk the order emitting first

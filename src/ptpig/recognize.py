@@ -12,7 +12,10 @@ only its neighbors and each neighbor at least once.  One pipeline:
      own slice of them;
   3. per component, constrain each block's internal order with one PQ-tree
      (end markers included), driven by a window analysis of the block stair
-     sequence per nonprobe, then settle the component's vertex sequence;
+     sequence per nonprobe, then settle the component's vertex sequence; a
+     complete component (one block) settles off the circular order its
+     sets cut, reading every window and end off positions in it, with no
+     search;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
   5. the components' settled sequences, each reversed when its component
@@ -338,7 +341,8 @@ class _CompState:
         anchor transform turns into plain consecutivity: replace every set
         holding the anchor by its complement.  The frontier, read as a
         circle, is cut at the end of P_min whose other neighbour lies
-        outside P_max.  Returns the first nonprobe whose set fails, or None.
+        outside P_max.  settle reads every window and side off that cut
+        order.  Returns the first nonprobe whose set fails, or None.
         """
         if self.t > 1 or not (self.circ or self.boundary_ws):
             return None
@@ -374,24 +378,44 @@ class _CompState:
 
     # .. final intra-component search ..
 
-    def _sigma(self) -> dict:
-        if self.cut is not None:
-            return {self.border[0]: self.cut}
-        out = {}
+    def _readings(self):
+        """Each reading of the block orders settle may try, as block -> order.
+
+        The trees pin everything except possibly the reading direction of
+        the blocks at the two ends of the block ordering; any subset of
+        those with more than one vertex may be reversed (at most 16
+        combinations).
+        """
+        sigma = {}
         for k in self.border:
             tree = self.trees.get(k)  # an untouched tree reads the block in order
-            out[k] = self.rg.blocks[k - 1] if tree is None else tuple(strip_markers(tree.frontier()))
-        return out
+            sigma[k] = self.rg.blocks[k - 1] if tree is None else tuple(strip_markers(tree.frontier()))
+        t = self.t
+        special: list = []
+        for k in (self.border[pos - 1] for pos in (1, 2, t - 1, t) if 1 <= pos <= t):
+            if len(self.rg.blocks[k - 1]) > 1 and k not in special:
+                special.append(k)
+        for mask in range(1 << len(special)):
+            perms = dict(sigma)
+            for i, k in enumerate(special):
+                if mask >> i & 1:
+                    perms[k] = tuple(reversed(sigma[k]))
+            yield perms
 
     def settle(self):
         """Fix the component's vertex sequence.
 
-        The trees pin everything except possibly the reading direction of
-        the blocks at the two ends of the block ordering; try reversing any
-        subset of those with more than one vertex (at most 16 combinations),
-        validating the window of every local nonprobe that meets a block
-        partially, and every boundary nonprobe end, against the expanded
-        sequence.  Returns None on success, else a witness.
+        Each reading of the block orders is expanded into a vertex sequence,
+        and the window of every local nonprobe that meets a block partially,
+        and every boundary nonprobe's end, is validated against it.  A
+        complete component has one reading: its sequence is σσ, σ the order
+        resolve_circular cut (or the block's own when no set constrained
+        it), and reversing σ turns arcs into arcs and prefixes into
+        suffixes, so it passes or fails alike.  There each window and side
+        is read off the members' positions in σ in O(d), with no search.
+        Returns None on success, else a witness: the first local nonprobe
+        without a window, else the first boundary nonprobe at neither end,
+        on the first reading.
 
         The settled sequence keeps every local nonprobe's leftmost window:
         the one found here, or its block window expanded through the block
@@ -399,18 +423,15 @@ class _CompState:
         vertices, and the leftmost at block level is the leftmost at vertex
         level.
         """
-        sigma = self._sigma()
-        t = self.t
-        special: list = []
-        for k in (self.border[pos - 1] for pos in (1, 2, t - 1, t) if 1 <= pos <= t):
-            if len(self.rg.blocks[k - 1]) > 1 and k not in special:
-                special.append(k)
+        if self.t == 1:
+            k = self.border[0]
+            readings = ({k: self.cut or self.rg.blocks[k - 1]},)
+            read_window, read_side = _arc_window, _arc_side
+        else:
+            readings = self._readings()
+            read_window, read_side = perfect_substring_bounds, _vertex_side
         witness = None
-        for mask in range(1 << len(special)):
-            perms = dict(sigma)
-            for i, k in enumerate(special):
-                if mask >> i & 1:
-                    perms[k] = tuple(reversed(sigma[k]))
+        for perms in readings:
             seq: list = []
             for k in self.bcs.seq[self.first - 1:self.last]:
                 seq.extend(perms[k])
@@ -418,7 +439,7 @@ class _CompState:
             found: dict = {}  # windows of the nonprobes in window_ws
             ok = True
             for w, nbrs in self.window_ws:
-                got = perfect_substring_bounds(vcs, nbrs)
+                got = read_window(vcs, nbrs)
                 if got is None:
                     ok = False
                     if witness is None:
@@ -428,7 +449,7 @@ class _CompState:
             sides: dict = {}
             if ok:
                 for w, nbrs in self.boundary_ws:
-                    v = _vertex_side(vcs, nbrs)
+                    v = read_side(vcs, nbrs)
                     if v is None:
                         ok = False
                         if witness is None:
@@ -492,6 +513,38 @@ def _vertex_side(vcs: CanonicalSequence, nbrs) -> str | None:
     if got[0] == 1:
         return "L"
     return "R" if _last_run(vcs, nbrs, *got)[1] == len(vcs.seq) else None
+
+
+def _arc_window(vcs: CanonicalSequence, nbrs):
+    """perfect_substring_bounds(vcs, nbrs) for vcs = σσ and ∅ ≠ nbrs ⊊ σ,
+    read off the neighbours' positions in σ in O(d), d = |nbrs|.
+
+    A perfect run exists iff nbrs is a circular arc of σ.  An arc that does
+    not wrap spans positions a..b of σ, min to max, and is found first
+    there.  One that wraps takes σ's first j and last d - j positions; it
+    is found first across the seam, at n - d + j + 1..n + j, and the
+    positions' sum S = j(d - n) + dn - d(d - 1)/2 gives j.  A slice of σσ
+    then confirms it: d distinct vertices, all neighbours, are all of them.
+    """
+    n, d = len(vcs.seq) // 2, len(nbrs)
+    pos = list(map(vcs.L.__getitem__, nbrs))
+    lo, hi = min(pos), max(pos)
+    if hi - lo + 1 == d:  # d distinct positions in a range of d
+        return lo, hi
+    j, rest = divmod(d * (2 * n - d + 1) - 2 * sum(pos), 2 * (n - d))
+    if rest or not 0 < j < d or not nbrs.issuperset(vcs.seq[n - d + j:n + j]):
+        return None
+    return n - d + j + 1, n + j
+
+
+def _arc_side(vcs: CanonicalSequence, nbrs) -> str | None:
+    """_vertex_side(vcs, nbrs) for vcs = σσ and ∅ ≠ nbrs ⊊ σ: "L" when
+    nbrs is a prefix of σ, "R" when it is a suffix, else None."""
+    pos = list(map(vcs.L.__getitem__, nbrs))
+    lo, hi = min(pos), max(pos)
+    if hi - lo + 1 != len(nbrs):
+        return None
+    return "L" if lo == 1 else "R" if hi == len(vcs.seq) // 2 else None
 
 
 def _nests(a, b) -> bool:

@@ -6,8 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from ptpig import graph, parse_tagged_graph, serialize_tagged_graph, tagged_graph
-from ptpig import cli
+from ptpig import (
+    canonical_sequence,
+    graph,
+    parse_tagged_graph,
+    probe_subgraph,
+    recognize_proper_interval,
+    serialize_tagged_graph,
+    tagged_graph,
+)
+from ptpig import cli, proper
 from ptpig.cli import main
 from ptpig.recognize import MissingWindow
 
@@ -179,6 +187,29 @@ def test_canonical_golden(tmp_path, capsys):
         "1 2 1 3 4 5 2 6 3 4 7 5 6 8 7 8",
         "8 7 8 6 5 7 4 3 6 5 2 4 3 1 2 1",
     )
+
+
+def test_canonical_checks_the_ordering_once(tmp_path, capsys, monkeypatch):
+    # the block check alone decides: no second pass over vertex spans, and
+    # the output is the stair sequence of the checked vertex ordering
+    spans = proper._umbrella_spans
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return spans(*args)
+
+    monkeypatch.setattr(proper, "_umbrella_spans", spy)
+    # twins {3, 4} and {6, 7}, a second component 9-10 and nonprobes
+    g = tagged_graph(10, 2, [(1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5), (5, 6), (5, 7),
+                             (6, 7), (6, 8), (7, 8), (9, 10), (2, 11), (3, 11), (10, 12)])
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_tagged_graph(g), encoding="utf-8")
+    assert main(["canonical", str(path)]) == 0
+    assert calls == []
+    pg = probe_subgraph(g)
+    want = canonical_sequence(pg, recognize_proper_interval(pg)).seq
+    assert capsys.readouterr().out == " ".join(map(str, want)) + "\n"
 
 
 def test_canonical_rejects_claw(tmp_path, capsys):

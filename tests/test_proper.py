@@ -13,6 +13,7 @@ from ptpig import (
     probe_subgraph,
     recognize_proper_interval,
     sequence_from_iterable,
+    stair_sequence,
     tagged_graph,
 )
 from ptpig.graph import ProbeGraph
@@ -289,6 +290,16 @@ def test_carried_positions_give_the_stair_sequence(pg):
     quotient = reference_compute_blocks(pg)[2]
     assert _stair(bo.order, bo.upper) == canonical_sequence(quotient, bo.order)
     assert _umbrella_spans(pg, order) is not None
+
+
+@given(st.one_of(probe_graphs, unit_graphs()))
+@example(pg_of(4, [(1, 2), (1, 3), (2, 3), (3, 4)]))  # twins 1, 2 in a reversed order
+@settings(max_examples=300, deadline=None)
+def test_stair_sequence_reads_the_block_check(pg):
+    # the sequence built from the block order's upper positions is the one
+    # that checking the expanded vertex order again gives
+    order = recognize_proper_interval(pg)
+    assert stair_sequence(pg) == (None if order is None else canonical_sequence(pg, order))
 
 
 def check_block_order(pg):

@@ -850,9 +850,10 @@ def _count_searches(monkeypatch) -> list:
     return calls
 
 
-def test_nested_clique_searches_each_window_once(monkeypatch):
-    # probes K_m, nonprobe w_k sees probes 1..k: the m - 1 partial windows are
-    # found once each while deciding, and w_m gets the whole component
+def test_nested_clique_reads_windows_without_searching(monkeypatch):
+    # probes K_m, nonprobe w_k sees probes 1..k: one complete component, so
+    # the m - 1 partial windows are read off its cut order, none searched,
+    # and w_m gets the whole component
     m = 60
     edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     edges += [(i, m + k) for k in range(1, m + 1) for i in range(1, k + 1)]
@@ -860,8 +861,29 @@ def test_nested_clique_searches_each_window_once(monkeypatch):
     calls = _count_searches(monkeypatch)
     res = recognize(g)
     assert res.accepted and verify_certificate(g, res.certificate) is None
-    assert len(calls) == m - 1
+    assert calls == []
     assert res.certificate[2 * m] == (1, 2 * m)
+    for w in range(m + 1, 2 * m + 1):
+        assert res.certificate[w] == perfect_substring_bounds(res.sequence, frozenset(g.adj[w]))
+
+
+def test_arc_reads_match_a_search_on_the_doubled_order():
+    # on a complete component's sequence σσ, every proper non-empty subset
+    # reads the window a search finds, None included, and the side
+    # _vertex_side finds
+    rng = random.Random(20_161_020)
+    arcs = 0
+    for n in range(1, 8):
+        sigma = rng.sample(range(1, 3 * n + 1), n)  # a seeded relabelling
+        cs = sequence_from_iterable(sigma + sigma)
+        for size in range(1, n):
+            for s in itertools.combinations(sigma, size):
+                s = frozenset(s)
+                got = REC._arc_window(cs, s)
+                assert got == perfect_substring_bounds(cs, s), (sigma, s)
+                assert REC._arc_side(cs, s) == REC._vertex_side(cs, s), (sigma, s)
+                arcs += got is not None
+    assert arcs == sum(n * (n - 1) for n in range(1, 8))  # n arcs of each size 1..n-1
 
 
 def test_one_block_reads_no_block_classes(monkeypatch):
