@@ -11,7 +11,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import eq
+from operator import eq, lt
 
 
 class GraphFormatError(ValueError):
@@ -108,8 +108,10 @@ def tagged_graph(p: int, q: int, edges) -> TaggedGraph:
 
 def _finish(p: int, q: int, nbr: list[list[int]]) -> TaggedGraph:
     """The graph in which nbr[v] lists v's neighbours: each edge at both of
-    its ends, duplicates allowed."""
-    adj = tuple([tuple(sorted(set(a))) for a in nbr])  # a list builds faster
+    its ends, duplicates allowed.  A list already strictly increasing, as
+    the writers' form gives every one, is kept as it is."""
+    adj = tuple([tuple(a) if all(map(lt, a, a[1:])) else tuple(sorted(set(a)))
+                 for a in nbr])  # a list builds faster
     return TaggedGraph(p=p, q=q, adj=adj, edge_count=sum(map(len, adj)) // 2)
 
 

@@ -23,8 +23,8 @@ only its neighbors and each neighbor at least once.  One pipeline:
      component's settled sequence is final as it is); every nonprobe
      confined to one component keeps the window found for it while
      deciding, offset or mirrored into the final sequence, and only
-     nonprobes that cross components are searched for once more, to build
-     the interval certificate.
+     nonprobes that cross components, or see one probe, are searched for
+     once more, to build the interval certificate.
 
 Rejections carry a machine-readable reason code and, where meaningful, a
 witness nonprobe.
@@ -339,10 +339,15 @@ class _CompState:
         P_i, the differences P_max - P_i (so that all prefixes share one
         end) and the local sets form one circular-ones instance, which the
         anchor transform turns into plain consecutivity: replace every set
-        holding the anchor by its complement.  The frontier, read as a
-        circle, is cut at the end of P_min whose other neighbour lies
-        outside P_max.  settle reads every window and side off that cut
-        order.  Returns the first nonprobe whose set fails, or None.
+        holding the anchor by its complement.  Any member may be the anchor,
+        and the first set that fails is the same for each.  Anchored at x,
+        the sets cost Σ|s| + Σ_{s∋x}(n - 2|s|) leaves, n = |U|; one counting
+        pass finds the cheapest member, the earliest in the block on a tie.
+        That cost averages at most 2·Σ|s| over the members, so the restricts
+        together take O(Σ|s|) leaves.  The frontier, read as a circle, is
+        cut at the end of P_min whose other neighbour lies outside P_max.
+        settle reads every window and side off that cut order.  Returns the
+        first nonprobe whose set fails, or None.
         """
         if self.t > 1 or not (self.circ or self.boundary_ws):
             return None
@@ -362,9 +367,16 @@ class _CompState:
                 chain.insert(i, s)
             latest[s] = w
         pmax = chain[-1] if chain else full
-        anchor = members[0]
         sets = [(latest[p], p) for p in chain] + [(latest[p], pmax - p) for p in chain]
-        for w, s in sets + self.circ:
+        sets += self.circ
+        n = len(members)
+        extra = dict.fromkeys(members, 0)  # x -> Σ_{s∋x}(n - 2|s|)
+        for _, s in sets:
+            c = n - 2 * len(s)
+            for x in s:
+                extra[x] += c
+        anchor = min(members, key=extra.__getitem__)
+        for w, s in sets:
             if not tree.restrict(s if anchor not in s else full - s):
                 return w
         order = tuple(tree.frontier())
@@ -583,11 +595,13 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     local_ws = {ci: [] for ci in states}
     multi_ws = []
     component_of, block_of = bo.component_of, rg.block_of
-    # a twin of an earlier nonprobe repeats its constraints: no-op restricts
+    # a twin of an earlier nonprobe repeats its constraints: no-op restricts;
+    # one neighbour always has a window in its own component and constrains
+    # no tree, so build_certificate finds it
     seen_nbrs = set()
     for w in range(g.p + 1, g.n + 1):
         nbrs = g.adj[w]
-        if not nbrs or nbrs in seen_nbrs:
+        if len(nbrs) < 2 or nbrs in seen_nbrs:
             continue
         seen_nbrs.add(nbrs)
         if r == 1:  # every neighbour lies in the one component
@@ -694,10 +708,11 @@ def build_certificate(g: TaggedGraph, cs: CanonicalSequence, windows=None) -> di
     their (leftmost maximal) perfect substring, and isolated nonprobes park
     one point each past every probe endpoint.  windows maps a neighbourhood,
     as a frozenset, to its leftmost perfect substring in cs where the
-    caller has found it already (recognize: every nonprobe confined to one
-    component); every other neighbourhood is searched for once, and twin
-    nonprobes share the result.  Raises MissingWindow for the first nonprobe
-    without a perfect substring in cs.
+    caller has found it already (recognize: every nonprobe of two or more
+    neighbours confined to one component); every other neighbourhood is
+    searched for once, one neighbour in O(1), and twin nonprobes share the
+    result.  Raises MissingWindow for the first nonprobe without a perfect
+    substring in cs.
     """
     cert: dict = {}
     for v in range(1, g.p + 1):

@@ -155,7 +155,8 @@ def _replace_one(text, old, new, rng) -> str:
 def test_bulk_and_line_reads_agree(monkeypatch):
     # the text in the writers' form is read in bulk, in one chunk or in
     # many; every variant of it goes through the line scanner; all give the
-    # graph that tagged_graph builds
+    # graph that tagged_graph builds, whose adjacency lists are the sorted
+    # neighbour sets, whether the edges came sorted or not
     scanned = []
     scan = graph._scan_lines
     monkeypatch.setattr(graph, "_scan_lines", lambda text: scanned.append(text) or scan(text))
@@ -174,8 +175,14 @@ def test_bulk_and_line_reads_agree(monkeypatch):
         rng.shuffle(edges)
         monkeypatch.setattr(graph, "_CHUNK", rng.choice([1, 6, 20, 2**20]))
         want = tagged_graph(p, q, edges)
+        ref = [set() for _ in range(n + 1)]
+        for u, v in edges:
+            ref[u].add(v)
+            ref[v].add(u)
+        assert want.adj == tuple(tuple(sorted(a)) for a in ref)
         text = _wire(p, q, edges)
         assert parse_tagged_graph(text) == want
+        assert parse_tagged_graph(serialize_tagged_graph(want)) == want
         assert scanned == []
         variants = [
             _insert_line(text, "# comment\n", rng),

@@ -343,6 +343,100 @@ def test_repeated_boundary_sets_take_linear_time():
     assert (res.reason, res.witness) == ("MARKER_PQ_INFEASIBLE", b + B + 2)
 
 
+def _circular_restricts(monkeypatch) -> list:
+    """(block, boundary sets?, restricted sets) of every resolve_circular
+    call that restricts, in the order recognize makes them."""
+    calls: list = []
+    current: list = []
+    restrict, resolve = PQTree.restrict, _CompState.resolve_circular
+
+    def spy_restrict(tree, s):
+        if current:
+            current[-1].append(frozenset(s))
+        return restrict(tree, s)
+
+    def spy_resolve(state):
+        current.append([])
+        try:
+            return resolve(state)
+        finally:
+            sets = current.pop()
+            if sets:
+                calls.append((state.rg.blocks[state.border[0] - 1], bool(state.boundary_ws), sets))
+
+    monkeypatch.setattr(PQTree, "restrict", spy_restrict)
+    monkeypatch.setattr(_CompState, "resolve_circular", spy_resolve)
+    return calls
+
+
+def _anchor_cost(x, n: int, sets) -> int:
+    """Leaves the sets cost anchored at x: each set holding x is restricted
+    as its complement.  A set and its complement cost the same, so this
+    reads the sets as given or as restricted alike."""
+    return sum(n - len(s) if x in s else len(s) for s in sets)
+
+
+def test_circular_restricts_take_the_cheapest_anchor(monkeypatch):
+    # on every complete component, the leaves restricted are the fewest any
+    # member can give as the anchor: K_m with nested nonprobes, K_m with
+    # seeded arcs of a seeded circular order, and seeded planted components,
+    # whose complete ones carry boundary sets as well
+    calls = _circular_restricts(monkeypatch)
+    rng = random.Random(20_161_019)
+    m = 60
+    edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    graphs = [tagged_graph(m, m, edges + [(i, m + k) for k in range(1, m + 1)
+                                          for i in range(1, k + 1)])]
+    for _ in range(60):
+        m, q = rng.randint(3, 30), rng.randint(1, 20)
+        sigma = rng.sample(range(1, m + 1), m)
+        arcs = []
+        for w in range(m + 1, m + q + 1):
+            start, length = rng.randrange(m), rng.randint(1, m - 1)
+            arcs += [(sigma[(start + i) % m], w) for i in range(length)]
+        graphs.append(tagged_graph(m, q, [(i, j) for i in range(1, m + 1)
+                                          for j in range(i + 1, m + 1)] + arcs))
+    for _ in range(240):
+        graphs.append(_planted_components(rng, [rng.randint(1, 8)
+                                                for _ in range(rng.randint(2, 6))])[0])
+    for g in graphs:
+        res = recognize(g)
+        assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert len(calls) >= 150 and sum(boundary for _, boundary, _ in calls) >= 50
+    for members, _, sets in calls:
+        n = len(members)
+        assert sum(map(len, sets)) == min(_anchor_cost(x, n, sets) for x in members)
+    # nested: w_k's set is probes 1..k, so the middle probe is the anchor
+    members, _, sets = calls[0]
+    assert sum(map(len, sets)) == sum(min(k, 60 - k) for k in range(2, 60))
+
+
+def test_arcs_through_one_probe_take_linear_time(monkeypatch):
+    # probes K_b, and one nonprobe on every arc of length 2..k of the circle
+    # 1..b that holds probe 1.  Anchored at probe 1, each arc would be
+    # restricted as its complement, b - |s| leaves: 1,389,391 here, against
+    # Σ|s| = 73,809
+    b, k = 800, 60
+    edges = [(u, v) for u in range(1, b + 1) for v in range(u + 1, b + 1)]
+    w = b
+    for length in range(2, k + 1):
+        for start in range(2 - length, 2):
+            w += 1
+            edges += [((start + i - 1) % b + 1, w) for i in range(length)]
+    g = tagged_graph(b, w - b, edges)
+    leaves = [0]
+    restrict = PQTree.restrict
+
+    def spy(tree, s):
+        leaves[0] += len(s)
+        return restrict(tree, s)
+
+    monkeypatch.setattr(PQTree, "restrict", spy)
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert leaves[0] <= 2 * sum(len(g.adj[w]) for w in range(b + 1, g.n + 1))
+
+
 def test_either_end_flushes_never_clone(monkeypatch):
     # blocks {1, 4}, {2, 5} and {3}; nonprobe 6 sees {4, 5}, which may read
     # forwards or backwards across the two blocks: two deferred flushes, and
@@ -754,7 +848,7 @@ def _flip(rng, g, flips):
 
 # sha256 of every result below, in order; a change that means to alter any
 # verdict, reason, witness, edge, sequence or certificate updates it
-OUTPUT_DIGEST = "5dc739a217ce6fc106555ca396d5d6f4c3eda01b6d331c57eada37a9ef8ddc1f"
+OUTPUT_DIGEST = "428b03f1c4c88507572093b9f670981379f5e44505b743267caefb4879d237e7"
 
 
 def test_output_digest():
@@ -852,8 +946,9 @@ def _count_searches(monkeypatch) -> list:
 
 def test_nested_clique_reads_windows_without_searching(monkeypatch):
     # probes K_m, nonprobe w_k sees probes 1..k: one complete component, so
-    # the m - 1 partial windows are read off its cut order, none searched,
-    # and w_m gets the whole component
+    # the m - 2 partial windows of two or more probes are read off its cut
+    # order, none searched; w_1's one probe is searched only for the
+    # certificate, and w_m gets the whole component
     m = 60
     edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     edges += [(i, m + k) for k in range(1, m + 1) for i in range(1, k + 1)]
@@ -861,7 +956,7 @@ def test_nested_clique_reads_windows_without_searching(monkeypatch):
     calls = _count_searches(monkeypatch)
     res = recognize(g)
     assert res.accepted and verify_certificate(g, res.certificate) is None
-    assert calls == []
+    assert calls == [(True, frozenset({1}))]
     assert res.certificate[2 * m] == (1, 2 * m)
     for w in range(m + 1, 2 * m + 1):
         assert res.certificate[w] == perfect_substring_bounds(res.sequence, frozenset(g.adj[w]))
@@ -911,15 +1006,16 @@ def test_one_block_reads_no_block_classes(monkeypatch):
 
 
 def test_certificate_searches_only_cross_component_windows(monkeypatch):
-    # path 1-2-3 and edge 4-5: nonprobes 6 ({1, 2}) and 8 ({5}) are local,
-    # 7 and its twin 9 ({3, 4}) cross the gap, 10 sees all of 4-5
+    # path 1-2-3 and edge 4-5: nonprobe 6 ({1, 2}) is local, 8 ({5}) has
+    # one neighbour and is left to the certificate, 7 and its twin 9
+    # ({3, 4}) cross the gap, 10 sees all of 4-5
     edges = [(1, 2), (2, 3), (4, 5), (1, 6), (2, 6), (3, 7), (4, 7), (5, 8), (3, 9), (4, 9),
              (4, 10), (5, 10)]
     g = tagged_graph(5, 5, edges)
     calls = _count_searches(monkeypatch)
     res = recognize(g)
     assert res.accepted and verify_certificate(g, res.certificate) is None
-    assert [nbrs for inside, nbrs in calls if inside] == [frozenset({3, 4})]
+    assert [nbrs for inside, nbrs in calls if inside] == [{3, 4}, {5}]
     cs = res.sequence
     for w in range(6, 11):
         assert res.certificate[w] == perfect_substring_bounds(cs, frozenset(g.adj[w]))
