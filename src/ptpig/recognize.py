@@ -20,11 +20,16 @@ only its neighbors and each neighbor at least once.  One pipeline:
      consecutive-ones instance over per-component end markers;
   5. the components' settled sequences, each reversed when its component
      is flipped, are laid end to end and read once for positions (a lone
-     component's settled sequence is final as it is); every nonprobe
-     confined to one component keeps the window found for it while
-     deciding, offset or mirrored into the final sequence, and only
-     nonprobes that cross components, or see one probe, are searched for
-     once more, to build the interval certificate.
+     component's settled sequence is final as it is); a component that no
+     local nonprobe of two or more neighbours reaches and every cross
+     nonprobe eats whole has nothing to decide, gets no state and is
+     written straight off the stair sequence.  Every window comes out of
+     recognition, with no search: a local nonprobe keeps the window found
+     for it while deciding, and a boundary nonprobe the run at the end it
+     eats, both offset or mirrored into the final sequence; a cross
+     nonprobe's window runs from its first piece to its last, a component
+     eaten whole giving its whole span; one neighbour u gets (L(u), R(u))
+     when those are adjacent, else (L(u), L(u)).
 
 Rejections carry a machine-readable reason code and, where meaningful, a
 witness nonprobe.
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import lt
 
 from .graph import (
@@ -211,10 +216,12 @@ class _CompState:
         self.boundary_ws: list = []  # (w, ngb-in-component) needing an end window
         self.cut: tuple | None = None  # block order of a complete component
         self.vcs: CanonicalSequence | None = None
-        self.sides: dict = {}  # w -> the end of the settled sequence it eats
-        # nbrs -> leftmost window of a local nonprobe: in bcs for whole-block
-        # ones until settle, then in vcs for every one; place maps them into
-        # the final sequence, which a lone component's vcs already is
+        # w -> a boundary nonprobe's perfect run at the end of vcs it eats
+        self.ends: dict = {}
+        # g.adj[w] -> leftmost window of a local nonprobe: in bcs for
+        # whole-block ones until settle, then in vcs for every one; place
+        # maps these and ends into the final sequence, which a lone
+        # component's vcs already is
         self.windows: dict = {}
 
     def _tree(self, k: int) -> PQTree:
@@ -253,14 +260,14 @@ class _CompState:
                 self.windows[nbrs] = (self.first, self.last)
             else:
                 self.window_ws.append((w, nbrs))
-                self.circ.append((w, nbrs))
+                self.circ.append((w, frozenset(nbrs)))
             return None
         ngb, fw = block_classes(self.rg, nbrs)
         partials = sorted(k for k in fw if fw[k] == 2)
         if not partials:
             # a window over whole blocks is a perfect substring of the block
             # sequence, whatever the orders inside the blocks
-            got = perfect_substring_bounds(self.bcs, frozenset(fw))
+            got = perfect_substring_bounds(self.bcs, fw)
             if got is None:
                 return B1_FAIL
             self.windows[nbrs] = got
@@ -346,7 +353,7 @@ class _CompState:
         That cost averages at most 2·Σ|s| over the members, so the restricts
         together take O(Σ|s|) leaves.  The frontier, read as a circle, is
         cut at the end of P_min whose other neighbour lies outside P_max.
-        settle reads every window and side off that cut order.  Returns the
+        settle reads every window and end off that cut order.  Returns the
         first nonprobe whose set fails, or None.
         """
         if self.t > 1 or not (self.circ or self.boundary_ws):
@@ -396,18 +403,20 @@ class _CompState:
         The trees pin everything except possibly the reading direction of
         the blocks at the two ends of the block ordering; any subset of
         those with more than one vertex may be reversed (at most 16
-        combinations).
+        combinations).  The trees' own reading comes first, and the
+        reversible blocks are found only when settle asks for another.
         """
         sigma = {}
         for k in self.border:
             tree = self.trees.get(k)  # an untouched tree reads the block in order
             sigma[k] = self.rg.blocks[k - 1] if tree is None else tuple(strip_markers(tree.frontier()))
+        yield sigma
         t = self.t
         special: list = []
         for k in (self.border[pos - 1] for pos in (1, 2, t - 1, t) if 1 <= pos <= t):
             if len(self.rg.blocks[k - 1]) > 1 and k not in special:
                 special.append(k)
-        for mask in range(1 << len(special)):
+        for mask in range(1, 1 << len(special)):
             perms = dict(sigma)
             for i, k in enumerate(special):
                 if mask >> i & 1:
@@ -423,7 +432,7 @@ class _CompState:
         complete component has one reading: its sequence is σσ, σ the order
         resolve_circular cut (or the block's own when no set constrained
         it), and reversing σ turns arcs into arcs and prefixes into
-        suffixes, so it passes or fails alike.  There each window and side
+        suffixes, so it passes or fails alike.  There each window and end
         is read off the members' positions in σ in O(d), with no search.
         Returns None on success, else a witness: the first local nonprobe
         without a window, else the first boundary nonprobe at neither end,
@@ -433,15 +442,16 @@ class _CompState:
         the one found here, or its block window expanded through the block
         orders.  A run of whole neighbour blocks is a run of neighbour
         vertices, and the leftmost at block level is the leftmost at vertex
-        level.
+        level.  It keeps every boundary nonprobe's run at the end it eats,
+        in ends.
         """
         if self.t == 1:
             k = self.border[0]
             readings = ({k: self.cut or self.rg.blocks[k - 1]},)
-            read_window, read_side = _arc_window, _arc_side
+            read_window, read_end = _arc_window, _arc_side
         else:
             readings = self._readings()
-            read_window, read_side = perfect_substring_bounds, _vertex_side
+            read_window, read_end = perfect_substring_bounds, _vertex_side
         witness = None
         for perms in readings:
             seq: list = []
@@ -458,16 +468,16 @@ class _CompState:
                         witness = w
                     break
                 found[nbrs] = got
-            sides: dict = {}
+            ends: dict = {}
             if ok:
                 for w, nbrs in self.boundary_ws:
-                    v = read_side(vcs, nbrs)
-                    if v is None:
+                    run = read_end(vcs, nbrs)
+                    if run is None:
                         ok = False
                         if witness is None:
                             witness = w
                         break
-                    sides[w] = v
+                    ends[w] = run
             if ok:
                 # an occurrence of block k holds perms[k] at the vertices'
                 # first positions when it is k's first occurrence, else at
@@ -480,51 +490,56 @@ class _CompState:
                                      (vcs.L if hi == bL[k2] else vcs.R)[perms[k2][-1]])
                 windows.update(found)
                 self.vcs = vcs
-                self.sides = sides
+                self.ends = ends
                 return None
         return witness
 
     def place(self, flipped: bool, seq: list, windows: dict) -> None:
         """Append the settled sequence to the final one, seq, reversed when
-        the component is flipped, and the windows of its local nonprobes,
-        by neighbourhood, to windows.  Mirroring makes the last perfect run
-        the leftmost, so a flipped component gives each nonprobe its last
-        run.
+        the component is flipped, the windows of its local nonprobes, by
+        neighbourhood, to windows, and map its boundary runs, in ends, into
+        seq.  Mirroring makes the last perfect run the leftmost, so a
+        flipped component gives each local nonprobe its last run; a
+        boundary run is the one at its end, so it is mirrored as it is.
 
-        self.windows is rewritten in final positions rather than copied, so
-        the settled windows are freed here and the cyclic collector, which
-        counts live objects, runs no more often than without them.
+        self.windows and self.ends are rewritten in final positions rather
+        than copied, so the settled ones are freed here and the cyclic
+        collector, which counts live objects, runs no more often than
+        without them.
         """
         vcs = self.vcs
         off = len(seq)
-        own = self.windows
+        own, ends = self.windows, self.ends
         if flipped:
             e = off + len(vcs.seq) + 1
             seq.extend(reversed(vcs.seq))
             for nbrs, (lo, hi) in own.items():
                 lo, hi = _last_run(vcs, nbrs, lo, hi)
                 own[nbrs] = (e - hi, e - lo)
+            for w, (lo, hi) in ends.items():
+                ends[w] = (e - hi, e - lo)
         else:
             seq.extend(vcs.seq)
             for nbrs, (lo, hi) in own.items():
                 own[nbrs] = (off + lo, off + hi)
+            for w, (lo, hi) in ends.items():
+                ends[w] = (off + lo, off + hi)
         windows.update(own)
 
 
-def _vertex_side(vcs: CanonicalSequence, nbrs) -> str | None:
-    """The end of the sequence ("L" or "R") that a perfect run of nbrs
-    reaches, or None.
+def _vertex_side(vcs: CanonicalSequence, nbrs):
+    """The perfect run (lo, hi) of nbrs at an end of the sequence, or None.
 
     nbrs misses some vertex of the component, so at most one end qualifies:
     the last vertex of the sequence is last in L order, so a run from the
-    left end that reaches it has covered the whole component.
+    left end that reaches it has covered the whole component.  A run at the
+    left end is the first run, and one at the right end the last.
     """
     got = perfect_substring_bounds(vcs, nbrs)
-    if got is None:
-        return None
-    if got[0] == 1:
-        return "L"
-    return "R" if _last_run(vcs, nbrs, *got)[1] == len(vcs.seq) else None
+    if got is None or got[0] == 1:
+        return got
+    got = _last_run(vcs, nbrs, *got)
+    return got if got[1] == len(vcs.seq) else None
 
 
 def _arc_window(vcs: CanonicalSequence, nbrs):
@@ -535,8 +550,9 @@ def _arc_window(vcs: CanonicalSequence, nbrs):
     not wrap spans positions a..b of σ, min to max, and is found first
     there.  One that wraps takes σ's first j and last d - j positions; it
     is found first across the seam, at n - d + j + 1..n + j, and the
-    positions' sum S = j(d - n) + dn - d(d - 1)/2 gives j.  A slice of σσ
-    then confirms it: d distinct vertices, all neighbours, are all of them.
+    positions' sum S = j(d - n) + dn - d(d - 1)/2 gives j.  The d distinct
+    positions then confirm it when each lies in 1..j or past n - d + j,
+    the d places the arc takes.
     """
     n, d = len(vcs.seq) // 2, len(nbrs)
     pos = list(map(vcs.L.__getitem__, nbrs))
@@ -544,19 +560,22 @@ def _arc_window(vcs: CanonicalSequence, nbrs):
     if hi - lo + 1 == d:  # d distinct positions in a range of d
         return lo, hi
     j, rest = divmod(d * (2 * n - d + 1) - 2 * sum(pos), 2 * (n - d))
-    if rest or not 0 < j < d or not nbrs.issuperset(vcs.seq[n - d + j:n + j]):
+    if rest or not 0 < j < d or not all(x <= j or x > n - d + j for x in pos):
         return None
     return n - d + j + 1, n + j
 
 
-def _arc_side(vcs: CanonicalSequence, nbrs) -> str | None:
-    """_vertex_side(vcs, nbrs) for vcs = σσ and ∅ ≠ nbrs ⊊ σ: "L" when
-    nbrs is a prefix of σ, "R" when it is a suffix, else None."""
+def _arc_side(vcs: CanonicalSequence, nbrs):
+    """_vertex_side(vcs, nbrs) for vcs = σσ and ∅ ≠ nbrs ⊊ σ: (1, d) when
+    nbrs is a prefix of σ, (2n - d + 1, 2n) when it is a suffix, else
+    None."""
     pos = list(map(vcs.L.__getitem__, nbrs))
     lo, hi = min(pos), max(pos)
-    if hi - lo + 1 != len(nbrs):
+    d = len(pos)
+    if hi - lo + 1 != d:
         return None
-    return "L" if lo == 1 else "R" if hi == len(vcs.seq) // 2 else None
+    n2 = len(vcs.seq)
+    return (1, d) if lo == 1 else (n2 - d + 1, n2) if 2 * hi == n2 else None
 
 
 def _nests(a, b) -> bool:
@@ -581,57 +600,69 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     border = bo.order
     bcs = _stair(border, bo.upper)
     r = len(bo.ends)
-    states: dict = {}
-    lo = 0
-    for ci, hi in enumerate(bo.ends, 1):
-        ks = border[lo:hi]
-        size = g.p if r == 1 else sum(len(rg.blocks[k - 1]) for k in ks)  # probes
-        states[ci] = _CompState(rg, bcs, ks, lo, size)
-        lo = hi
+    bounds = [0, *bo.ends]  # component ci takes border[bounds[ci - 1]:bounds[ci]]
+    lens = [0, *map(len, rg.blocks)]
+    acc = list(accumulate(map(lens.__getitem__, border), initial=0))
+    sizes = [0] + [acc[hi] - acc[lo] for lo, hi in zip(bounds, bo.ends)]  # probes per component
+    # only a component with something to decide gets a state
+    states: list = [None] * (r + 1)
+
+    def new_state(ci: int) -> _CompState:
+        lo = bounds[ci - 1]
+        state = states[ci] = _CompState(rg, bcs, border[lo:bounds[ci]], lo, sizes[ci])
+        return state
+
     # a connected, twin-free probe part has one stair sequence up to
     # reversal; a nonprobe without a window there is reported as A1_FAIL
     missing = A1_FAIL if r == 1 and rg.t == g.p else B1_FAIL
 
-    local_ws = {ci: [] for ci in states}
+    local_ws: dict = {}  # component -> [(w, nbrs)] confined to it
     multi_ws = []
+    singles = []  # neighbourhoods of one probe
     component_of, block_of = bo.component_of, rg.block_of
     # a twin of an earlier nonprobe repeats its constraints: no-op restricts;
     # one neighbour always has a window in its own component and constrains
-    # no tree, so build_certificate finds it
+    # no tree, so its window is read off the final sequence.  Neighbourhoods
+    # are the adjacency tuples themselves: they key every window
     seen_nbrs = set()
     for w in range(g.p + 1, g.n + 1):
         nbrs = g.adj[w]
-        if len(nbrs) < 2 or nbrs in seen_nbrs:
+        if len(nbrs) < 2:
+            if nbrs:
+                singles.append(nbrs)
+            continue
+        if nbrs in seen_nbrs:
             continue
         seen_nbrs.add(nbrs)
         if r == 1:  # every neighbour lies in the one component
-            local_ws[1].append((w, frozenset(nbrs)))
-            continue
-        touched: dict = {}
-        for u in nbrs:
-            touched.setdefault(component_of[block_of[u]], []).append(u)
-        if len(touched) == 1:
-            ci = next(iter(touched))
-            local_ws[ci].append((w, frozenset(nbrs)))
+            ci = 1
         else:
-            multi_ws.append((w, touched))
+            touched: dict = {}
+            for u in nbrs:
+                touched.setdefault(component_of[block_of[u]], []).append(u)
+            if len(touched) > 1:
+                multi_ws.append((w, touched))
+                continue
+            ci = next(iter(touched))
+        local_ws.setdefault(ci, []).append((w, nbrs))
 
-    for ci, state in states.items():
+    for ci in sorted(local_ws):
+        state = new_state(ci)
         for w, nbrs in local_ws[ci]:
             code = state.constrain_local(w, nbrs)
             if code is not None:
                 return _reject(missing if code == B1_FAIL else code, witness=w)
 
     for w, touched in multi_ws:
-        partial_cis = [ci for ci, us in touched.items() if len(us) < states[ci].size]
+        partial_cis = [ci for ci, us in touched.items() if len(us) < sizes[ci]]
         if len(partial_cis) > 2:
             return _reject(CASE3, witness=w)
         for ci in partial_cis:
-            code = states[ci].constrain_boundary(w, touched[ci])
+            code = (states[ci] or new_state(ci)).constrain_boundary(w, touched[ci])
             if code is not None:
                 return _reject(code, witness=w)
 
-    for ci, state in states.items():
+    for state in filter(None, states):
         bad = state.resolve_deferred()
         if bad is None:
             bad = state.resolve_circular()
@@ -641,48 +672,72 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         if bad is not None:
             return _reject(FINAL_CHECK_FAIL, witness=bad)
 
-    got = _arrange_components(states, multi_ws)
+    got = _arrange_components(sizes, states, multi_ws)
     if isinstance(got, int):
         return _reject(MARKER_PQ_INFEASIBLE, witness=got)
-    if len(got) == 1:  # a lone component is never flipped
-        state = states[got[0][0]]
-        cs, windows = state.vcs, state.windows
+    if r == 1 and states[1] is not None:  # a lone component is never flipped
+        cs, windows = states[1].vcs, states[1].windows
     else:
         seq: list = []
         windows = {}  # neighbourhood -> window in the final sequence
+        start = [0] * (r + 1)  # component -> its offset in seq
         for ci, flipped in got:
-            states[ci].place(flipped, seq, windows)
+            start[ci] = len(seq)
+            state = states[ci]
+            if state is not None:
+                state.place(flipped, seq, windows)
+                continue
+            # nothing to decide: the sequence settle would build, each block
+            # in its own order; every nonprobe that reaches the component
+            # eats it whole, so either orientation serves
+            for k in bcs.seq[2 * bounds[ci - 1]:2 * bounds[ci]]:
+                seq.extend(rg.blocks[k - 1])
         cs = sequence_from_iterable(seq)
-    # every cross nonprobe's window is its eaten components and the ends that
-    # settle checked, so a MissingWindow here is a fault, not a REJECT
+        # the arrangement keeps a cross nonprobe's components together, with
+        # each partly eaten one's eaten end inward, so its pieces make one run
+        for w, touched in multi_ws:
+            lo, hi = len(seq), 0
+            for ci, us in touched.items():
+                if len(us) == sizes[ci]:
+                    a, b = start[ci] + 1, start[ci] + 2 * sizes[ci]
+                else:
+                    a, b = states[ci].ends[w]
+                lo, hi = min(lo, a), max(hi, b)
+            windows[g.adj[w]] = (lo, hi)
+    L, R = cs.L, cs.R
+    for nbrs in singles:
+        lo, hi = L[nbrs[0]], R[nbrs[0]]
+        windows[nbrs] = (lo, hi if hi == lo + 1 else lo)
+    # every window is read, none searched, so a MissingWindow here is a
+    # fault, not a REJECT
     cert = build_certificate(g, cs, windows)
     return RecognitionResult(True, sequence=cs, certificate=cert)
 
 
-def _arrange_components(states: dict, multi_ws: list):
-    """Order and orient the components.
+def _arrange_components(sizes: list, states: list, multi_ws: list):
+    """Order and orient the components, sizes[ci] probes in component ci.
 
     One consecutive-ones instance over {L, R} end markers per component:
     each marker pair stays together, and every cross-component nonprobe's
     marker set (both markers of fully-eaten components plus the eaten-end
     marker of partially-eaten ones) must come out consecutive.  A partially
-    eaten component has exactly one eaten end, fixed by settle, so the
-    instance has no choices left.  Returns [(component, flipped)] or a
-    witness nonprobe.
+    eaten component has exactly one eaten end, fixed by settle: its state's
+    run for the nonprobe starts at 1 on the left end.  So the instance has
+    no choices left.  Returns [(component, flipped)] or a witness nonprobe.
     """
+    cis = range(1, len(sizes))
     if not multi_ws:
-        return [(ci, False) for ci in states]
+        return [(ci, False) for ci in cis]
     # component ci's L marker is 2ci - 1 and its R marker 2ci
-    tree = PQTree.paired([(2 * ci - 1, 2 * ci) for ci in states])
+    tree = PQTree.paired([(2 * ci - 1, 2 * ci) for ci in cis])
     for w, touched in multi_ws:
         tset = set()
         for ci, us in touched.items():
-            state = states[ci]
-            if len(us) == state.size:
+            if len(us) == sizes[ci]:
                 tset.add(2 * ci - 1)
                 tset.add(2 * ci)
             else:
-                tset.add(2 * ci if state.sides[w] == "R" else 2 * ci - 1)
+                tset.add(2 * ci - 1 if states[ci].ends[w][0] == 1 else 2 * ci)
         if not tree.restrict(tset):
             return w
     # each component's markers are adjacent, so the first of each pair
@@ -706,18 +761,18 @@ def build_certificate(g: TaggedGraph, cs: CanonicalSequence, windows=None) -> di
 
     Probes read their two positions straight off the sequence; nonprobes get
     their (leftmost maximal) perfect substring, and isolated nonprobes park
-    one point each past every probe endpoint.  windows maps a neighbourhood,
-    as a frozenset, to its leftmost perfect substring in cs where the
-    caller has found it already (recognize: every nonprobe of two or more
-    neighbours confined to one component); every other neighbourhood is
-    searched for once, one neighbour in O(1), and twin nonprobes share the
-    result.  Raises MissingWindow for the first nonprobe without a perfect
-    substring in cs.
+    one point each past every probe endpoint.  windows, when given, maps
+    every neighbourhood, keyed by the adjacency tuple g.adj[w], to that
+    substring, and nothing is searched: recognize reads each one off its
+    layout.  Without windows, each distinct neighbourhood is searched for
+    once and twin nonprobes share the result.  Raises MissingWindow for the
+    first nonprobe without a window: absent from windows when they are
+    given, else without a perfect substring in cs.
     """
     cert: dict = {}
     for v in range(1, g.p + 1):
         cert[v] = (cs.L[v], cs.R[v])
-    found = {} if windows is None else dict(windows)
+    found = {} if windows is None else windows
     spare = 2 * g.p + 1
     for w in range(g.p + 1, g.n + 1):
         nbrs = g.adj[w]
@@ -725,11 +780,9 @@ def build_certificate(g: TaggedGraph, cs: CanonicalSequence, windows=None) -> di
             cert[w] = (spare, spare)
             spare += 1
             continue
-        nbrs = frozenset(nbrs)
         got = found.get(nbrs)
         if got is None:
-            got = perfect_substring_bounds(cs, nbrs)
-            if got is None:
+            if windows is not None or (got := perfect_substring_bounds(cs, nbrs)) is None:
                 raise MissingWindow(w)
             found[nbrs] = got
         cert[w] = got

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib
 import itertools
@@ -513,8 +514,9 @@ def test_accepts_component_swallowed_whole():
 
 def test_boundary_set_at_neither_end_tries_the_next_reading(monkeypatch):
     # a yes-instance whose first settled reading leaves nonprobe 12's set in
-    # its component at neither end: the side check must say so, and settle
-    # then tries the next reading, on which the set takes the left end
+    # its component at neither end: the end check must say so, and settle
+    # then tries the next reading, on which the set's one neighbour there
+    # takes the left end
     edges = [(2, 3), (2, 6), (2, 7), (2, 10), (2, 13), (3, 6), (3, 7), (3, 10), (3, 11),
              (3, 13), (4, 5), (4, 8), (4, 9), (4, 12), (5, 8), (5, 9), (5, 12), (6, 7), (6, 12),
              (6, 13), (7, 11), (7, 13), (8, 9), (8, 12), (9, 12), (10, 13)]
@@ -529,7 +531,7 @@ def test_boundary_set_at_neither_end_tries_the_next_reading(monkeypatch):
     monkeypatch.setattr(REC, "_vertex_side", spy)
     res = recognize(g)
     assert res.accepted and verify_certificate(g, res.certificate) is None
-    assert sides == [None, "L"]
+    assert sides == [None, (1, 1)]
 
 
 def test_accepts_probe_free_graph():
@@ -886,8 +888,8 @@ def test_kept_windows_match_a_fresh_search(monkeypatch):
     arrange = REC._arrange_components
     flipped = []
 
-    def spy(states, multi_ws):
-        got = arrange(states, multi_ws)
+    def spy(sizes, states, multi_ws):
+        got = arrange(sizes, states, multi_ws)
         if not isinstance(got, int):
             flipped.extend(f for _, f in got if f)
         return got
@@ -947,8 +949,8 @@ def _count_searches(monkeypatch) -> list:
 def test_nested_clique_reads_windows_without_searching(monkeypatch):
     # probes K_m, nonprobe w_k sees probes 1..k: one complete component, so
     # the m - 2 partial windows of two or more probes are read off its cut
-    # order, none searched; w_1's one probe is searched only for the
-    # certificate, and w_m gets the whole component
+    # order, none searched; w_1's one probe is read off its two positions,
+    # and w_m gets the whole component
     m = 60
     edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     edges += [(i, m + k) for k in range(1, m + 1) for i in range(1, k + 1)]
@@ -956,7 +958,7 @@ def test_nested_clique_reads_windows_without_searching(monkeypatch):
     calls = _count_searches(monkeypatch)
     res = recognize(g)
     assert res.accepted and verify_certificate(g, res.certificate) is None
-    assert calls == [(True, frozenset({1}))]
+    assert calls == []
     assert res.certificate[2 * m] == (1, 2 * m)
     for w in range(m + 1, 2 * m + 1):
         assert res.certificate[w] == perfect_substring_bounds(res.sequence, frozenset(g.adj[w]))
@@ -1005,17 +1007,94 @@ def test_one_block_reads_no_block_classes(monkeypatch):
     assert calls == []
 
 
-def test_certificate_searches_only_cross_component_windows(monkeypatch):
+def test_certificate_reads_every_window_without_searching(monkeypatch):
     # path 1-2-3 and edge 4-5: nonprobe 6 ({1, 2}) is local, 8 ({5}) has
-    # one neighbour and is left to the certificate, 7 and its twin 9
-    # ({3, 4}) cross the gap, 10 sees all of 4-5
+    # one neighbour, 7 and its twin 9 ({3, 4}) cross the gap, 10 sees all
+    # of 4-5; recognize hands every window to the certificate
     edges = [(1, 2), (2, 3), (4, 5), (1, 6), (2, 6), (3, 7), (4, 7), (5, 8), (3, 9), (4, 9),
              (4, 10), (5, 10)]
     g = tagged_graph(5, 5, edges)
     calls = _count_searches(monkeypatch)
     res = recognize(g)
     assert res.accepted and verify_certificate(g, res.certificate) is None
-    assert [nbrs for inside, nbrs in calls if inside] == [{3, 4}, {5}]
+    assert [nbrs for inside, nbrs in calls if inside] == []
     cs = res.sequence
     for w in range(6, 11):
         assert res.certificate[w] == perfect_substring_bounds(cs, frozenset(g.adj[w]))
+
+
+def test_one_neighbour_windows_are_read_off_its_positions(monkeypatch):
+    # probe 1 is isolated, so its two positions are adjacent and nonprobe 5
+    # gets both; probe 2 ends the path 2-3-4, whose stair sequence puts its
+    # positions apart, so nonprobe 6 gets its first one alone
+    g = tagged_graph(4, 2, [(2, 3), (3, 4), (1, 5), (2, 6)])
+    calls = _count_searches(monkeypatch)
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert calls == []
+    cs = res.sequence
+    assert cs.seq == (1, 1, 2, 3, 2, 4, 3, 4)
+    assert res.certificate[5] == (1, 2) and res.certificate[6] == (3, 3)
+    for w in (5, 6):
+        assert res.certificate[w] == perfect_substring_bounds(cs, g.adj[w])
+
+
+def _with_twins(rng, g):
+    """g with a copy of about a third of its nonprobes, each a twin of its
+    original."""
+    edges = [(u, v) for u in range(1, g.n + 1) for v in g.adj[u] if u < v]
+    extra = [w for w in range(g.p + 1, g.n + 1) if rng.random() < 0.35]
+    edges += [(u, g.n + i) for i, w in enumerate(extra, 1) for u in g.adj[w]]
+    return tagged_graph(g.p, g.q + len(extra), edges)
+
+
+def test_components_with_nothing_to_decide_get_no_state(monkeypatch):
+    init, arrange = _CompState.__init__, REC._arrange_components
+    made, flipped = [], []
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    def spy(sizes, states, multi_ws):
+        got = arrange(sizes, states, multi_ws)
+        if not isinstance(got, int):
+            flipped.extend(f for _, f in got)
+        return got
+
+    monkeypatch.setattr(_CompState, "__init__", counted)
+    monkeypatch.setattr(REC, "_arrange_components", spy)
+    # isolated probes that one nonprobe swallows whole: nothing to decide
+    p = 40
+    g = tagged_graph(p, 1, [(u, p + 1) for u in range(1, p + 1)])
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert made == [] and res.certificate[p + 1] == (1, 2 * p)
+    # seeded multi-component instances with twin nonprobes: a state for
+    # exactly the components that a local nonprobe of two or more
+    # neighbours, or a partial cross nonprobe, reaches
+    rng = random.Random(20_161_103)
+    twins = stateless = 0
+    for _ in range(200):
+        g, _ = _planted_components(rng, [rng.randint(1, 6) for _ in range(rng.randint(2, 8))])
+        g = _with_twins(rng, g)
+        made.clear()
+        res = recognize(g)
+        assert res.accepted and verify_certificate(g, res.certificate) is None
+        comp_of = connected_components(probe_subgraph(g)).component_of
+        size = collections.Counter(comp_of[1:g.p + 1])
+        reached = set()
+        for w in range(g.p + 1, g.n + 1):
+            if len(g.adj[w]) < 2:
+                continue
+            touched = collections.Counter(comp_of[u] for u in g.adj[w])
+            reached |= {c for c, k in touched.items() if len(touched) == 1 or k < size[c]}
+        assert len(made) == len(reached)
+        assert {comp_of[s.rg.blocks[s.border[0] - 1][0]] for s in made} == reached
+        stateless += len(size) - len(reached)
+        twins += g.q - len(set(g.adj[g.p + 1:]))
+        cs = res.sequence
+        for w in range(g.p + 1, g.n + 1):
+            if g.adj[w]:
+                assert res.certificate[w] == perfect_substring_bounds(cs, g.adj[w])
+    assert stateless >= 300 and twins >= 1000 and flipped.count(True) >= 100
