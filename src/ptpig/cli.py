@@ -21,6 +21,7 @@ from .graph import (
     MAX_VERTICES,
     GraphFormatError,
     TaggedGraph,
+    parse_int,
     parse_tagged_graph,
     probe_subgraph,
     serialize_tagged_graph,
@@ -88,7 +89,7 @@ def _parse_cert(text: str) -> dict:
         if len(parts) != 3:
             raise GraphFormatError(f"line {ln}: expected '<vertex> <lo> <hi>'")
         try:
-            v, lo, hi = (int(x) for x in parts)
+            v, lo, hi = map(parse_int, parts)
         except ValueError as exc:
             raise GraphFormatError(f"line {ln}: {exc}") from None
         if v in cert:

@@ -186,6 +186,17 @@ def _read_canonical(text: str) -> TaggedGraph | None:
     return _finish(p, q, nbr or [[] for _ in range(n + 1)])
 
 
+_NUMERAL = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """int(text) for ASCII digits after an optional minus sign; any other
+    text, '+2', '1_0' or '١' among them, raises int()'s bad-literal error."""
+    if _NUMERAL.fullmatch(text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
 def _scan_lines(text: str) -> TaggedGraph:
     """parse_tagged_graph for any text, line by line."""
     p = q = None
@@ -199,7 +210,7 @@ def _scan_lines(text: str) -> TaggedGraph:
             if parts[0] != "ptpig" or len(parts) != 3:
                 raise GraphFormatError(f"line {lineno}: expected header 'ptpig <p> <q>'")
             try:
-                p, q = int(parts[1]), int(parts[2])
+                p, q = parse_int(parts[1]), parse_int(parts[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer counts") from None
             if p < 0 or q < 0:
@@ -210,7 +221,7 @@ def _scan_lines(text: str) -> TaggedGraph:
         if parts[0] != "e" or len(parts) != 3:
             raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
         try:
-            u, v = int(parts[1]), int(parts[2])
+            u, v = parse_int(parts[1]), parse_int(parts[2])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer endpoint") from None
         if not (1 <= u <= p + q) or not (1 <= v <= p + q):

@@ -12,10 +12,10 @@ only its neighbors and each neighbor at least once.  One pipeline:
      own slice of them;
   3. per component, constrain each block's internal order with one PQ-tree
      (end markers included), driven by a window analysis of the block stair
-     sequence per nonprobe, then settle the component's vertex sequence; a
-     complete component (one block) settles off the circular order its
-     sets cut, reading every window and end off positions in it, with no
-     search;
+     sequence per nonprobe, then settle: make the deferred either-end
+     choices and fix the component's vertex sequence.  A complete component
+     (one block) has no block analysis: settle cuts the circular order its
+     sets allow and reads every window and end off positions in it;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
   5. the components' settled sequences, each reversed when its component
@@ -211,16 +211,14 @@ class _CompState:
         self.size = size  # number of probes
         self.trees: dict = {}  # block -> its PQ-tree, built by _tree on first use
         self.deferred: list = []  # (w, block, ngb) either-end flushes
-        self.circ: list = []  # (w, ngb) wrap-capable sets on a complete component
         self.window_ws: list = []  # (w, nbrs) local, with a partial block
         self.boundary_ws: list = []  # (w, ngb-in-component) needing an end window
-        self.cut: tuple | None = None  # block order of a complete component
         self.vcs: CanonicalSequence | None = None
         # w -> a boundary nonprobe's perfect run at the end of vcs it eats
         self.ends: dict = {}
-        # g.adj[w] -> leftmost window of a local nonprobe: in bcs for
-        # whole-block ones until settle, then in vcs for every one; place
-        # maps these and ends into the final sequence, which a lone
+        # g.adj[w] -> leftmost window of a local nonprobe: on a chain, in
+        # bcs for whole-block ones until settle, then in vcs for every one;
+        # place maps these and ends into the final sequence, which a lone
         # component's vcs already is
         self.windows: dict = {}
 
@@ -236,13 +234,11 @@ class _CompState:
 
         s, w's neighbours in k, is a suffix of k's order when k can only be
         the window's first block, and a prefix when it can only be the last.
-        When it can be either, s is flushed to one end or the other: the
-        choice waits for resolve_deferred, or, on a complete component, for
-        resolve_circular, which reads w's boundary set itself.
+        When it can be either, s is flushed to one end or the other, a
+        choice queued for settle.  Only a chain of blocks comes here.
         """
         if first and last:
-            if self.t > 1:
-                self.deferred.append((w, k, frozenset(s)))
+            self.deferred.append((w, k, frozenset(s)))
             return None
         mark = MARK_RIGHT if first else MARK_LEFT
         return None if self._tree(k).restrict(frozenset(s) | {mark}) else FINAL_CHECK_FAIL
@@ -254,13 +250,12 @@ class _CompState:
         component; returns a reject code on impossibility."""
         if self.t == 1:
             # a complete component: seeing the whole block, the window is
-            # the whole component; else nbrs is a partial block, an arc of
-            # the block's order that resolve_circular places and settle checks
+            # the whole of σσ; else nbrs is a partial block, an arc of the
+            # block's order that settle places and reads
             if len(nbrs) == self.size:
-                self.windows[nbrs] = (self.first, self.last)
+                self.windows[nbrs] = (1, 2 * self.size)
             else:
                 self.window_ws.append((w, nbrs))
-                self.circ.append((w, frozenset(nbrs)))
             return None
         ngb, fw = block_classes(self.rg, nbrs)
         partials = sorted(k for k in fw if fw[k] == 2)
@@ -294,7 +289,11 @@ class _CompState:
     # .. nonprobes shared with other components ..
 
     def constrain_boundary(self, w: int, nbrs) -> str | None:
-        """A nonprobe reaching other components must eat a whole end here."""
+        """A nonprobe reaching other components must eat a whole end here.
+        Either end fits a complete component: settle reads the set there."""
+        self.boundary_ws.append((w, frozenset(nbrs)))
+        if self.t == 1:
+            return None
         ngb, fw = block_classes(self.rg, nbrs)
         partials = sorted(k for k in fw if fw[k] == 2)
         if len(partials) >= 2:
@@ -310,7 +309,6 @@ class _CompState:
         left, right = fits
         if not (left or right):
             return FINAL_CHECK_FAIL
-        self.boundary_ws.append((w, frozenset(nbrs)))
         if not partials:
             return None
         # eating the left end, the partial block is the window's last block
@@ -318,84 +316,7 @@ class _CompState:
         c = partials[0]
         return self._role_constraint(w, c, ngb[c], first=right, last=left)
 
-    # .. choice resolution ..
-
-    def resolve_deferred(self):
-        """Apply queued either-end flushes; first stuck nonprobe or None.
-
-        For ∅ ≠ s ⊊ U, s is a prefix or a suffix of the block's order σ iff s
-        and U − s are both consecutive in σ; the markers pin σ between the
-        tree's ends, so two plain restricts state each flush exactly, and the
-        queue's order only picks which failure is reported.
-        """
-        for w, k, s in self.deferred:
-            tree = self._tree(k)
-            if not (tree.restrict(s) and tree.restrict(set(self.rg.blocks[k - 1]) - s)):
-                return w
-        return None
-
-    def resolve_circular(self):
-        """Orient every nonprobe set of a complete component in one pass.
-
-        The component is one block with order σ and sequence σσ, so a local
-        window is a circular arc of σ, and a boundary set is a prefix or a
-        suffix of σ: the set or its complement U - s is a prefix.  Reversal
-        is free, so the first boundary set is read as a prefix; every later
-        one then nests with the chain of prefixes as s or as U - s, never as
-        both (else a prefix, s or U - s would be empty or U).  The prefixes
-        P_i, the differences P_max - P_i (so that all prefixes share one
-        end) and the local sets form one circular-ones instance, which the
-        anchor transform turns into plain consecutivity: replace every set
-        holding the anchor by its complement.  Any member may be the anchor,
-        and the first set that fails is the same for each.  Anchored at x,
-        the sets cost Σ|s| + Σ_{s∋x}(n - 2|s|) leaves, n = |U|; one counting
-        pass finds the cheapest member, the earliest in the block on a tie.
-        That cost averages at most 2·Σ|s| over the members, so the restricts
-        together take O(Σ|s|) leaves.  The frontier, read as a circle, is
-        cut at the end of P_min whose other neighbour lies outside P_max.
-        settle reads every window and end off that cut order.  Returns the
-        first nonprobe whose set fails, or None.
-        """
-        if self.t > 1 or not (self.circ or self.boundary_ws):
-            return None
-        k = self.border[0]
-        members = self.rg.blocks[k - 1]
-        tree = PQTree(members)  # a circle has no ends: no markers
-        full = frozenset(members)
-        chain: list = []  # the distinct prefixes of σ, by size
-        latest: dict = {}  # prefix -> the last nonprobe read as it
-        for w, s in self.boundary_ws:
-            if chain and not _nests(s, chain[0]):
-                s = full - s
-            if s not in latest:
-                i = bisect_left(chain, len(s), key=len)
-                if not all(_nests(s, p) for p in chain[max(i - 1, 0):i + 1]):
-                    return w
-                chain.insert(i, s)
-            latest[s] = w
-        pmax = chain[-1] if chain else full
-        sets = [(latest[p], p) for p in chain] + [(latest[p], pmax - p) for p in chain]
-        sets += self.circ
-        n = len(members)
-        extra = dict.fromkeys(members, 0)  # x -> Σ_{s∋x}(n - 2|s|)
-        for _, s in sets:
-            c = n - 2 * len(s)
-            for x in s:
-                extra[x] += c
-        anchor = min(members, key=extra.__getitem__)
-        for w, s in sets:
-            if not tree.restrict(s if anchor not in s else full - s):
-                return w
-        order = tuple(tree.frontier())
-        if chain:
-            pmin, n = chain[0], len(order)
-            i, step = next((i, d) for i, x in enumerate(order) if x in pmin
-                           for d in (1, -1) if order[(i - d) % n] not in pmax)
-            order = tuple(order[(i + step * j) % n] for j in range(n))
-        self.cut = order
-        return None
-
-    # .. final intra-component search ..
+    # .. choice resolution and the vertex sequence ..
 
     def _readings(self):
         """Each reading of the block orders settle may try, as block -> order.
@@ -424,19 +345,41 @@ class _CompState:
             yield perms
 
     def settle(self):
-        """Fix the component's vertex sequence.
+        """Make the choices left open and fix the component's vertex
+        sequence.  Returns None on success, else a witness: the first
+        nonprobe whose constraint fails, else the first local nonprobe
+        without a window, else the first boundary nonprobe at neither end.
 
-        Each reading of the block orders is expanded into a vertex sequence,
+        A complete component is one block with order σ and sequence σσ, so a
+        local window is a circular arc of σ, and a boundary set is a prefix
+        or a suffix of σ: the set or its complement U - s is a prefix.
+        Reversal is free, so the first boundary set is read as a prefix;
+        every later one then nests with the chain of prefixes as s or as
+        U - s, never as both (else a prefix, s or U - s would be empty or
+        U).  The prefixes P_i, the differences P_max - P_i (so that all
+        prefixes share one end) and the local sets form one circular-ones
+        instance, which the anchor transform turns into plain
+        consecutivity: replace every set holding the anchor by its
+        complement.  Any member may be the anchor, and the first set that
+        fails is the same for each.  Anchored at x, the sets cost Σ|s| +
+        Σ_{s∋x}(n - 2|s|) leaves, n = |U|; one counting pass finds the
+        cheapest member, the earliest in the block on a tie.  That cost
+        averages at most 2·Σ|s| over the members, so the restricts together
+        take O(Σ|s|) leaves.  The frontier, read as a circle, is cut at the
+        end of P_min whose other neighbour lies outside P_max.  Reversing σ
+        turns arcs into arcs and prefixes into suffixes, so σσ is the one
+        reading, and each window and end is read off the members' positions
+        in σ in O(d), with no search.
+
+        On a chain of blocks, the queued either-end flushes come first.  For
+        ∅ ≠ s ⊊ U, s is a prefix or a suffix of the block's order iff s and
+        U - s are both consecutive in it; the markers pin the order between
+        the tree's ends, so two plain restricts state each flush exactly,
+        and the queue's order only picks which failure is reported.  Then
+        each reading of the block orders is expanded into a vertex sequence,
         and the window of every local nonprobe that meets a block partially,
-        and every boundary nonprobe's end, is validated against it.  A
-        complete component has one reading: its sequence is σσ, σ the order
-        resolve_circular cut (or the block's own when no set constrained
-        it), and reversing σ turns arcs into arcs and prefixes into
-        suffixes, so it passes or fails alike.  There each window and end
-        is read off the members' positions in σ in O(d), with no search.
-        Returns None on success, else a witness: the first local nonprobe
-        without a window, else the first boundary nonprobe at neither end,
-        on the first reading.
+        and every boundary nonprobe's end, is checked in it; a failure
+        names its witness on the first reading.
 
         The settled sequence keeps every local nonprobe's leftmost window:
         the one found here, or its block window expanded through the block
@@ -446,39 +389,75 @@ class _CompState:
         in ends.
         """
         if self.t == 1:
-            k = self.border[0]
-            readings = ({k: self.cut or self.rg.blocks[k - 1]},)
-            read_window, read_end = _arc_window, _arc_side
-        else:
-            readings = self._readings()
-            read_window, read_end = perfect_substring_bounds, _vertex_side
+            members = order = self.rg.blocks[self.border[0] - 1]
+            if self.window_ws or self.boundary_ws:
+                tree = PQTree(members)  # a circle has no ends: no markers
+                full = frozenset(members)
+                chain: list = []  # the distinct prefixes of σ, by size
+                latest: dict = {}  # prefix -> the last nonprobe read as it
+                for w, s in self.boundary_ws:
+                    if chain and not _nests(s, chain[0]):
+                        s = full - s
+                    if s not in latest:
+                        i = bisect_left(chain, len(s), key=len)
+                        if not all(_nests(s, p) for p in chain[max(i - 1, 0):i + 1]):
+                            return w
+                        chain.insert(i, s)
+                    latest[s] = w
+                pmax = chain[-1] if chain else full
+                sets = [(latest[p], p) for p in chain] + [(latest[p], pmax - p) for p in chain]
+                sets += self.window_ws
+                n = len(members)
+                extra = dict.fromkeys(members, 0)  # x -> Σ_{s∋x}(n - 2|s|)
+                for _, s in sets:
+                    c = n - 2 * len(s)
+                    for x in s:
+                        extra[x] += c
+                anchor = min(members, key=extra.__getitem__)
+                for w, s in sets:
+                    if not tree.restrict(s if anchor not in s else full.difference(s)):
+                        return w
+                order = tuple(tree.frontier())
+                if chain:
+                    pmin = chain[0]
+                    i, step = next((i, d) for i, x in enumerate(order) if x in pmin
+                                   for d in (1, -1) if order[(i - d) % n] not in pmax)
+                    order = tuple(order[(i + step * j) % n] for j in range(n))
+            vcs = self.vcs = sequence_from_iterable(order + order)
+            for w, nbrs in self.window_ws:
+                if (got := _arc_window(vcs, nbrs)) is None:
+                    return w
+                self.windows[nbrs] = got
+            for w, nbrs in self.boundary_ws:
+                if (got := _arc_side(vcs, nbrs)) is None:
+                    return w
+                self.ends[w] = got
+            return None
+        for w, k, s in self.deferred:
+            tree = self._tree(k)
+            if not (tree.restrict(s) and tree.restrict(set(self.rg.blocks[k - 1]) - s)):
+                return w
         witness = None
-        for perms in readings:
+        for perms in self._readings():
             seq: list = []
             for k in self.bcs.seq[self.first - 1:self.last]:
                 seq.extend(perms[k])
             vcs = sequence_from_iterable(seq)
+            bad = None
             found: dict = {}  # windows of the nonprobes in window_ws
-            ok = True
             for w, nbrs in self.window_ws:
-                got = read_window(vcs, nbrs)
-                if got is None:
-                    ok = False
-                    if witness is None:
-                        witness = w
+                if (got := perfect_substring_bounds(vcs, nbrs)) is None:
+                    bad = w
                     break
                 found[nbrs] = got
             ends: dict = {}
-            if ok:
+            if bad is None:
                 for w, nbrs in self.boundary_ws:
-                    run = read_end(vcs, nbrs)
-                    if run is None:
-                        ok = False
-                        if witness is None:
-                            witness = w
+                    if (got := _vertex_side(vcs, nbrs)) is None:
+                        bad = w
                         break
-                    ends[w] = run
-            if ok:
+                    ends[w] = got
+            if bad is None:
                 # an occurrence of block k holds perms[k] at the vertices'
                 # first positions when it is k's first occurrence, else at
                 # their second ones
@@ -492,6 +471,8 @@ class _CompState:
                 self.vcs = vcs
                 self.ends = ends
                 return None
+            if witness is None:
+                witness = bad
         return witness
 
     def place(self, flipped: bool, seq: list, windows: dict) -> None:
@@ -663,11 +644,6 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
                 return _reject(code, witness=w)
 
     for state in filter(None, states):
-        bad = state.resolve_deferred()
-        if bad is None:
-            bad = state.resolve_circular()
-        if bad is not None:
-            return _reject(FINAL_CHECK_FAIL, witness=bad)
         bad = state.settle()
         if bad is not None:
             return _reject(FINAL_CHECK_FAIL, witness=bad)

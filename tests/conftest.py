@@ -78,6 +78,14 @@ BAD_WIRE_TEXTS = [
     ("ptpig 1000000 1\ne 1 2\n", "line 1: more than 1000000 vertices"),
     ("ptpig 3 1\ne 1 " + "9" * 5000 + "\n", "line 2: non-integer endpoint"),
     ("ptpig " + "9" * 5000 + " 1\ne 1 2\n", "line 1: non-integer counts"),
+    # int() reads these, but a numeral is ASCII digits after an optional minus
+    ("ptpig 10 1\ne 1 1_0\n", "line 2: non-integer endpoint"),
+    ("ptpig 3 1\ne +1 2\n", "line 2: non-integer endpoint"),
+    ("ptpig 3 1\ne 1 \u0662\n", "line 2: non-integer endpoint"),
+    ("ptpig +3 1\ne 1 2\n", "line 1: non-integer counts"),
+    ("ptpig 3 1_0\ne 1 2\n", "line 1: non-integer counts"),
+    ("ptpig -1 1\ne 1 2\n", "line 1: negative count"),
+    ("ptpig 3 1\ne 1 -2\n", "line 2: vertex -2 out of range (n=4)"),
 ]
 
 def no_line_scan(text):

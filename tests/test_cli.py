@@ -171,6 +171,9 @@ def test_verify_duplicate_cert_line(tmp_path, capsys):
         ("1 1 3\n1 1 3\n2 2 4\n", "line 2: duplicate vertex 1"),
         ("1 1 3\n2 2\n", "line 2: expected '<vertex> <lo> <hi>'"),
         ("# a\n1 a 3\n", "line 2: invalid literal for int() with base 10: 'a'"),
+        ("1 +1 3\n", "line 1: invalid literal for int() with base 10: '+1'"),
+        ("1 1 1_0\n", "line 1: invalid literal for int() with base 10: '1_0'"),
+        ("\u0661 1 3\n", "line 1: invalid literal for int() with base 10: '\u0661'"),
     ]:
         cert.write_text(text)
         assert main(["verify", path, str(cert)]) == 2

@@ -345,28 +345,30 @@ def test_repeated_boundary_sets_take_linear_time():
 
 
 def _circular_restricts(monkeypatch) -> list:
-    """(block, boundary sets?, restricted sets) of every resolve_circular
-    call that restricts, in the order recognize makes them."""
+    """(block, boundary sets?, restricted sets) of every settle call on a
+    complete component that restricts, in the order recognize makes them."""
     calls: list = []
     current: list = []
-    restrict, resolve = PQTree.restrict, _CompState.resolve_circular
+    restrict, settle = PQTree.restrict, _CompState.settle
 
     def spy_restrict(tree, s):
         if current:
             current[-1].append(frozenset(s))
         return restrict(tree, s)
 
-    def spy_resolve(state):
+    def spy_settle(state):
+        if state.t > 1:
+            return settle(state)
         current.append([])
         try:
-            return resolve(state)
+            return settle(state)
         finally:
             sets = current.pop()
             if sets:
                 calls.append((state.rg.blocks[state.border[0] - 1], bool(state.boundary_ws), sets))
 
     monkeypatch.setattr(PQTree, "restrict", spy_restrict)
-    monkeypatch.setattr(_CompState, "resolve_circular", spy_resolve)
+    monkeypatch.setattr(_CompState, "settle", spy_settle)
     return calls
 
 
@@ -454,14 +456,14 @@ def test_either_end_flushes_never_clone(monkeypatch):
 
     # twin-heavy instances, some with deferred flushes: every planted one
     # is accepted, and every accepted one certified
-    resolve = _CompState.resolve_deferred
+    settle = _CompState.settle
     flushed = []
 
     def counted(self):
         flushed.append(bool(self.deferred))
-        return resolve(self)
+        return settle(self)
 
-    monkeypatch.setattr(_CompState, "resolve_deferred", counted)
+    monkeypatch.setattr(_CompState, "settle", counted)
     for seed in range(300):
         g, planted = generate(GenSpec(5 + seed % 20, 4, seed=seed, overlap=0.95, span=0.3,
                                       perturb=int(seed % 3 == 2)))
@@ -984,8 +986,9 @@ def test_arc_reads_match_a_search_on_the_doubled_order():
 
 
 def test_one_block_reads_no_block_classes(monkeypatch):
-    # a connected probe graph of one twin block: each window is the whole
-    # block or an arc of it, known without sorting neighbours into blocks
+    # a probe component of one twin block: each window is the whole block
+    # or an arc of it, and a cross nonprobe eats a prefix or a suffix of
+    # it, known without sorting neighbours into blocks
     calls = []
     classes = REC.block_classes
 
@@ -1000,11 +1003,16 @@ def test_one_block_reads_no_block_classes(monkeypatch):
         tagged_graph(5, 2, k5 + [(1, 6), (2, 6)] + [(i, 7) for i in range(1, 6)]),
         tagged_graph(m, m, [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
                      + [(i, m + k) for k in range(1, m + 1) for i in range(1, k + 1)]),
+        # K5 and K3 with nonprobes 9 ({4, 5, 6}) and 11 ({5, 6, 7}) across
+        # the gap, and 10 ({1, 2}) inside K5
+        tagged_graph(8, 3, k5 + [(6, 7), (6, 8), (7, 8), (4, 9), (5, 9), (6, 9),
+                                 (1, 10), (2, 10), (5, 11), (6, 11), (7, 11)]),
     ]
     for g in graphs:
         res = recognize(g)
         assert res.accepted and verify_certificate(g, res.certificate) is None
     assert calls == []
+    assert res.certificate[9] == perfect_substring_bounds(res.sequence, g.adj[9])
 
 
 def test_certificate_reads_every_window_without_searching(monkeypatch):
