@@ -221,9 +221,17 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _int_arg(text: str) -> int:
+    """A command-line integer, read as the wire format reads one."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _sizes_arg(text: str):
     try:
-        sizes = tuple(int(x) for x in text.split(","))
+        sizes = tuple(map(parse_int, text.split(",")))
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated integers")
     if not sizes or any(n <= 0 for n in sizes):
@@ -264,10 +272,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("gen", help="emit a planted (or perturbed) instance")
-    sp.add_argument("probes", type=int)
-    sp.add_argument("nonprobes", type=int)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--perturb", type=int, default=0)
+    sp.add_argument("probes", type=_int_arg)
+    sp.add_argument("nonprobes", type=_int_arg)
+    sp.add_argument("--seed", type=_int_arg, default=0)
+    sp.add_argument("--perturb", type=_int_arg, default=0)
     sp.add_argument("--overlap", type=float, default=0.5)
     sp.add_argument("--span", type=float, default=0.05)
     sp.add_argument("--out", default=None)
@@ -276,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="time recognition on planted instances")
     sp.add_argument("--sizes", type=_sizes_arg, default=_BENCH_SIZES)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_int_arg, default=0)
     sp.set_defaults(func=_cmd_bench)
 
     return parser

@@ -61,7 +61,8 @@ class ReducedGraph:
     """Partition of a probe graph into blocks of equal closed neighborhoods.
 
     blocks[k-1] lists block k's vertices (sorted); block_of maps vertex ->
-    block id; reps[k-1] is block k's smallest vertex, its representative.
+    block id; reps[k-1] is block k's smallest vertex, its representative,
+    and block_size[k] its number of vertices (block_size[0] is 0).
     Blocks are numbered by smallest contained vertex, so the decomposition
     is reproducible.  Twins share closed neighbourhoods, so the block-level
     graph needs no copy: block j neighbours block k exactly when reps[j-1]
@@ -71,6 +72,7 @@ class ReducedGraph:
     blocks: tuple[tuple[int, ...], ...]
     block_of: tuple[int, ...]
     reps: tuple[int, ...]
+    block_size: tuple[int, ...]
 
     @property
     def t(self) -> int:
@@ -172,11 +174,18 @@ def _read_canonical(text: str) -> TaggedGraph | None:
         if any(map(eq, us, vs)):  # a self-loop, as no numeral has a leading zero
             return None
         # Numerals are looked up, not converted: a miss is a vertex past n,
-        # and all mentions of a vertex share one int.
-        vertex = vertex or {str(v): v for v in range(1, n + 1)}
+        # and all mentions of a vertex share one int.  A chunk with fewer
+        # numerals than vertices, before any table, converts its own, so a
+        # huge header over a short body builds no table to range-check it.
+        if not vertex and 2 * len(us) < n:
+            table = {x: int(x) for x in {*us, *vs}}
+            if max(table.values(), default=0) > n:
+                return None
+        else:
+            table = vertex = vertex or {str(v): v for v in range(1, n + 1)}
         try:
-            us = list(map(vertex.__getitem__, us))
-            vs = list(map(vertex.__getitem__, vs))
+            us = list(map(table.__getitem__, us))
+            vs = list(map(table.__getitem__, vs))
         except KeyError:
             return None
         nbr = nbr or [[] for _ in range(n + 1)]
@@ -313,10 +322,12 @@ def compute_blocks(g: ProbeGraph) -> ReducedGraph:
         k = block_of[h]
         for v in vs[1:]:
             block_of[v] = k
+    blocks = tuple(compress(blocks, head))
     return ReducedGraph(
-        blocks=tuple(compress(blocks, head)),
+        blocks=blocks,
         block_of=tuple(block_of),
         reps=tuple(compress(range(size), head)),
+        block_size=(0, *map(len, blocks)),
     )
 
 

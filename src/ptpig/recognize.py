@@ -10,12 +10,14 @@ only its neighbors and each neighbor at least once.  One pipeline:
      with its components (two BFS passes over the blocks' smallest
      vertices) and the block stair sequence; each component works on its
      own slice of them;
-  3. per component, constrain each block's internal order with one PQ-tree
-     (end markers included), driven by a window analysis of the block stair
-     sequence per nonprobe, then settle: make the deferred either-end
-     choices and fix the component's vertex sequence.  A complete component
-     (one block) has no block analysis: settle cuts the circular order its
-     sets allow and reads every window and end off positions in it;
+  3. per component, constrain each block's internal order, driven by a
+     window analysis of the block stair sequence per nonprobe, with a
+     PQ-tree (end markers included) once a block has a second constraint
+     (a first one is only recorded); then settle: make the deferred
+     either-end choices and fix the component's vertex sequence.  A
+     complete component (one block) has no block analysis: settle cuts the
+     circular order its sets allow and reads every window and end off
+     positions in it;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
   5. the components' settled sequences, each reversed when its component
@@ -150,7 +152,7 @@ def block_classes(rg: ReducedGraph, nbrs):
     ngb: dict = {}
     for u in nbrs:
         ngb.setdefault(rg.block_of[u], set()).add(u)
-    fw = {k: (1 if len(s) == len(rg.blocks[k - 1]) else 2) for k, s in ngb.items()}
+    fw = {k: (1 if len(s) == rg.block_size[k] else 2) for k, s in ngb.items()}
     return ngb, fw
 
 
@@ -193,12 +195,14 @@ def block_window_candidates(bcs: CanonicalSequence, fw: dict) -> set:
 
 
 class _CompState:
-    """Block trees and bookkeeping for laying out one probe component.
+    """Block orders and bookkeeping for laying out one probe component.
 
-    The component owns a run of the global block ordering, border, and the
-    matching run of the block stair sequence bcs, positions first..last:
-    components never share a block, and their stair sequences follow one
-    another in the order of their blocks.
+    A block's first constraint is only recorded in trees, as it always
+    holds; a block gets a PQ-tree at its second.  The component owns a run
+    of the global block ordering, border, and the matching run of the block
+    stair sequence bcs, positions first..last: components never share a
+    block, and their stair sequences follow one another in the order of
+    their blocks.
     """
 
     def __init__(self, rg: ReducedGraph, bcs: CanonicalSequence, border, lo: int, size: int):
@@ -209,7 +213,7 @@ class _CompState:
         self.first = 2 * lo + 1
         self.last = 2 * (lo + self.t)
         self.size = size  # number of probes
-        self.trees: dict = {}  # block -> its PQ-tree, built by _tree on first use
+        self.trees: dict = {}  # block -> its PQ-tree, or its one recorded constraint
         self.deferred: list = []  # (w, block, ngb) either-end flushes
         self.window_ws: list = []  # (w, nbrs) local, with a partial block
         self.boundary_ws: list = []  # (w, ngb-in-component) needing an end window
@@ -223,11 +227,28 @@ class _CompState:
         self.windows: dict = {}
 
     def _tree(self, k: int) -> PQTree:
-        """Block k's tree: its vertices between the two end markers."""
+        """Block k's tree: its vertices between the two end markers, under
+        the constraint recorded for k, if any."""
         tree = self.trees.get(k)
-        if tree is None:
-            tree = self.trees[k] = PQTree.pinned(self.rg.blocks[k - 1])
+        if not isinstance(tree, PQTree):
+            s, tree = tree, PQTree.pinned(self.rg.blocks[k - 1])
+            self.trees[k] = tree
+            if s is not None:
+                tree.restrict(s)  # a first restrict of ∅ ≠ s ⊊ U succeeds
         return tree
+
+    def _restrict(self, k: int, s) -> str | None:
+        """Constrain block k's order by s: record a first constraint, apply
+        a later one to the tree."""
+        if k not in self.trees:
+            self.trees[k] = s
+            return None
+        return None if self._tree(k).restrict(s) else FINAL_CHECK_FAIL
+
+    def _whole_blocks(self, nbrs):
+        """The blocks nbrs touches, if it takes each of them whole, else None."""
+        ks = set(map(self.rg.block_of.__getitem__, nbrs))
+        return ks if sum(map(self.rg.block_size.__getitem__, ks)) == len(nbrs) else None
 
     def _role_constraint(self, w: int, k: int, s, first: bool, last: bool) -> str | None:
         """Constrain partial block k by the roles it can take in w's window.
@@ -240,8 +261,7 @@ class _CompState:
         if first and last:
             self.deferred.append((w, k, frozenset(s)))
             return None
-        mark = MARK_RIGHT if first else MARK_LEFT
-        return None if self._tree(k).restrict(frozenset(s) | {mark}) else FINAL_CHECK_FAIL
+        return self._restrict(k, frozenset(s) | {MARK_RIGHT if first else MARK_LEFT})
 
     # .. in-component nonprobes ..
 
@@ -257,16 +277,17 @@ class _CompState:
             else:
                 self.window_ws.append((w, nbrs))
             return None
-        ngb, fw = block_classes(self.rg, nbrs)
-        partials = sorted(k for k in fw if fw[k] == 2)
-        if not partials:
+        ks = self._whole_blocks(nbrs)
+        if ks is not None:
             # a window over whole blocks is a perfect substring of the block
             # sequence, whatever the orders inside the blocks
-            got = perfect_substring_bounds(self.bcs, fw)
+            got = perfect_substring_bounds(self.bcs, ks)
             if got is None:
                 return B1_FAIL
             self.windows[nbrs] = got
             return None
+        ngb, fw = block_classes(self.rg, nbrs)
+        partials = sorted(k for k in fw if fw[k] == 2)
         # the window depends on the orders inside blocks; settle checks it
         self.window_ws.append((w, nbrs))
         # every partial block of a window is one of its two end blocks
@@ -278,7 +299,7 @@ class _CompState:
             # the window sits inside one occurrence of k, or spans from one
             # occurrence to the other, eating the complement from the middle
             s = ngb[k] if len(fw) == 1 else set(self.rg.blocks[k - 1]) - ngb[k]
-            return None if self._tree(k).restrict(s) else FINAL_CHECK_FAIL
+            return self._restrict(k, s)
         for k in partials:
             code = self._role_constraint(w, k, ngb[k], any(k1 == k for k1, _ in pairs),
                                          any(k2 == k for _, k2 in pairs))
@@ -294,10 +315,14 @@ class _CompState:
         self.boundary_ws.append((w, frozenset(nbrs)))
         if self.t == 1:
             return None
-        ngb, fw = block_classes(self.rg, nbrs)
-        partials = sorted(k for k in fw if fw[k] == 2)
-        if len(partials) >= 2:
-            return CASE4
+        ks = self._whole_blocks(nbrs)
+        if ks is not None:
+            fw, partials = dict.fromkeys(ks, 1), []
+        else:
+            ngb, fw = block_classes(self.rg, nbrs)
+            partials = sorted(k for k in fw if fw[k] == 2)
+            if len(partials) >= 2:
+                return CASE4
         # past the eaten blocks at an end, c is the only partial allowed here
         seq = self.bcs.seq
         fits = []  # can w eat the left end, the right end?
@@ -321,16 +346,22 @@ class _CompState:
     def _readings(self):
         """Each reading of the block orders settle may try, as block -> order.
 
-        The trees pin everything except possibly the reading direction of
-        the blocks at the two ends of the block ordering; any subset of
-        those with more than one vertex may be reversed (at most 16
-        combinations).  The trees' own reading comes first, and the
-        reversible blocks are found only when settle asks for another.
+        The constraints pin everything except possibly the reading
+        direction of the blocks at the two ends of the block ordering; any
+        subset of those with more than one vertex may be reversed (at most
+        16 combinations).  The constraints' own reading comes first, a
+        recorded one's by _recorded_order, and the reversible blocks are
+        found only when settle asks for another.
         """
         sigma = {}
         for k in self.border:
-            tree = self.trees.get(k)  # an untouched tree reads the block in order
-            sigma[k] = self.rg.blocks[k - 1] if tree is None else tuple(strip_markers(tree.frontier()))
+            tree, members = self.trees.get(k), self.rg.blocks[k - 1]
+            if tree is None:
+                sigma[k] = members
+            elif isinstance(tree, PQTree):
+                sigma[k] = tuple(strip_markers(tree.frontier()))
+            else:
+                sigma[k] = _recorded_order(members, tree)
         yield sigma
         t = self.t
         special: list = []
@@ -371,7 +402,8 @@ class _CompState:
         reading, and each window and end is read off the members' positions
         in σ in O(d), with no search.
 
-        On a chain of blocks, the queued either-end flushes come first.  For
+        On a chain of blocks, the queued either-end flushes come first,
+        each on the block's tree, built then if need be.  For
         ∅ ≠ s ⊊ U, s is a prefix or a suffix of the block's order iff s and
         U - s are both consecutive in it; the markers pin the order between
         the tree's ends, so two plain restricts state each flush exactly,
@@ -508,6 +540,17 @@ class _CompState:
         windows.update(own)
 
 
+def _recorded_order(members: tuple, s) -> tuple:
+    """strip_markers of PQTree.pinned(members).frontier() after its one
+    restrict(s): the members outside s, then those in s, each in block
+    order, s first when it holds ⊢; a lone s of one member moves nothing."""
+    if len(s) == 1:
+        return members
+    inside = [x for x in members if x in s]
+    outside = [x for x in members if x not in s]
+    return tuple(inside + outside if MARK_LEFT in s else outside + inside)
+
+
 def _vertex_side(vcs: CanonicalSequence, nbrs):
     """The perfect run (lo, hi) of nbrs at an end of the sequence, or None.
 
@@ -582,8 +625,7 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     bcs = _stair(border, bo.upper)
     r = len(bo.ends)
     bounds = [0, *bo.ends]  # component ci takes border[bounds[ci - 1]:bounds[ci]]
-    lens = [0, *map(len, rg.blocks)]
-    acc = list(accumulate(map(lens.__getitem__, border), initial=0))
+    acc = list(accumulate(map(rg.block_size.__getitem__, border), initial=0))
     sizes = [0] + [acc[hi] - acc[lo] for lo, hi in zip(bounds, bo.ends)]  # probes per component
     # only a component with something to decide gets a state
     states: list = [None] * (r + 1)

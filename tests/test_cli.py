@@ -273,6 +273,18 @@ def test_gen_bad_counts_exit_2(capsys, monkeypatch):
     assert capsys.readouterr().err.endswith("error: more than 1000000 vertices\n")
 
 
+def test_gen_numerals_are_ascii_digits(capsys, monkeypatch):
+    # the command line reads numbers as the wire format does: '1_0', '+2'
+    # and non-ASCII digits are usage errors, before anything is planted
+    monkeypatch.setattr(cli, "generate", _no_planting)
+    for argv in (["gen", "1_0", "2"], ["gen", "10", "+2"], ["gen", "5", "2", "--seed", "١"],
+                 ["gen", "5", "2", "--perturb", "+1"], ["bench", "--seed", "1_0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+
 def test_recognize_undecodable_file(tmp_path, capsys):
     bad = tmp_path / "bin.txt"
     bad.write_bytes(b"ptpig 2 0\n\xff\xfe\n")
@@ -329,6 +341,8 @@ def test_bench_rejects_malformed_sizes(capsys, monkeypatch):
     # argparse handles the type error itself and exits with usage status 2
     monkeypatch.setattr(cli, "generate", _no_planting)
     for sizes, message in [("4x0", "expected comma-separated integers"),
+                           ("1_0,+2_0", "expected comma-separated integers"),
+                           ("٤00", "expected comma-separated integers"),
                            ("400,1000001", "sizes must not exceed 1000000"),
                            ("0", "sizes must be positive")]:
         with pytest.raises(SystemExit) as exc:

@@ -110,11 +110,12 @@ def test_vertex_limit_checked_before_allocation():
 
 @pytest.mark.parametrize("line, message", [
     ("e 0 1", "line 2: vertex 0 out of range (n=1000000)"),
+    ("e 1 1000001", "line 2: vertex 1000001 out of range (n=1000000)"),
     ("e 01 01", "line 2: self-loop at vertex 1"),
     ("e 7 7", "line 2: self-loop at vertex 7"),
     ("e 1 " + "9" * 5000, "line 2: non-integer endpoint"),
     ("e 1 2\nx", "line 3: expected 'e <u> <v>'"),
-], ids=["zero", "leading-zero", "self-loop", "long-numeral", "bad-line"])
+], ids=["zero", "past-n", "leading-zero", "self-loop", "long-numeral", "bad-line"])
 def test_bad_line_found_before_tables_per_vertex(line, message):
     # a bad line under a header near MAX_VERTICES costs about its own length
     text = f"ptpig 999999 1\n{line}\n"

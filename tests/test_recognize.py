@@ -25,8 +25,9 @@ from ptpig import (
     two_stretch_filter,
     verify_certificate,
 )
+from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, strip_markers
 from ptpig.proper import _stair, order_blocks
-from ptpig.recognize import _CompState, block_classes, block_window_candidates
+from ptpig.recognize import _CompState, _recorded_order, block_classes, block_window_candidates
 
 from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack
 
@@ -149,14 +150,24 @@ def _component_state(p, edges):
     return _CompState(rg, _stair(bo.order, bo.upper), bo.order, 0, p)
 
 
-def _chain_state(groups):
+def _chain_edges(groups) -> set:
     """Twin blocks given as vertex groups, each joined completely to the
     next: the blocks are the groups, in this order up to reversal."""
     edges = set()
     for i, grp in enumerate(groups):
         nxt = groups[i + 1] if i + 1 < len(groups) else ()
         edges.update((min(a, b), max(a, b)) for a in grp for b in (*grp, *nxt) if a != b)
-    return _component_state(sum(map(len, groups)), edges)
+    return edges
+
+
+def _chain_state(groups):
+    return _component_state(sum(map(len, groups)), _chain_edges(groups))
+
+
+def _block_trees(state) -> dict:
+    """Each constrained block's tree, serialized; _tree replays a block's
+    one recorded constraint on a fresh tree."""
+    return {k: state._tree(k).serialize() for k in list(state.trees)}
 
 
 # the block stair sequences read 1 2 1 3 2 3 (ENDS, MIDDLE), 3 2 3 1 2 4 1 4
@@ -190,7 +201,7 @@ def test_local_role_table(row, groups, nbrs, pairs, deferred, trees):
     assert block_window_candidates(state.bcs, block_classes(state.rg, nbrs)[1]) == pairs
     assert state.constrain_local(w, frozenset(nbrs)) is None
     assert state.deferred == deferred
-    assert {k: tree.serialize() for k, tree in state.trees.items()} == trees
+    assert _block_trees(state) == trees
 
 
 # eating the left end, the partial block is the window's last block there,
@@ -210,8 +221,55 @@ def test_boundary_role_table(row, groups, nbrs, trees):
     state = _chain_state(groups)
     assert state.constrain_boundary(state.size + 1, frozenset(nbrs)) is None
     assert state.deferred == []
-    assert {k: tree.serialize() for k, tree in state.trees.items()} == trees
+    assert _block_trees(state) == trees
     assert state.boundary_ws == [(state.size + 1, frozenset(nbrs))]
+
+
+def test_recorded_order_is_the_pinned_tree_after_one_restrict():
+    # every block of up to 6 members, in two orders, every ∅ ≠ s ⊊ U, as a
+    # suffix, a prefix or a lone set
+    cases = 0
+    for n in range(2, 7):
+        for members in (tuple(range(1, n + 1)), (*range(2, n + 1, 2), *range(1, n + 1, 2))):
+            for r in range(1, n):
+                for s in itertools.combinations(members, r):
+                    for extra in ({MARK_RIGHT}, {MARK_LEFT}, set()):
+                        got = frozenset(s) | extra
+                        tree = PQTree.pinned(members)
+                        assert tree.restrict(got)
+                        assert _recorded_order(members, got) == strip_markers(tree.frontier())
+                        cases += 1
+    assert cases == 3 * 2 * sum(2**n - 2 for n in range(2, 7))
+
+
+def _count_pinned(monkeypatch) -> list:
+    built = []
+    pinned = PQTree.pinned.__func__
+
+    def spy(cls, members):
+        built.append(members)
+        return pinned(cls, members)
+
+    monkeypatch.setattr(PQTree, "pinned", classmethod(spy))
+    return built
+
+
+def test_a_block_gets_a_tree_only_at_its_second_constraint(monkeypatch):
+    built = _count_pinned(monkeypatch)
+    edges = _chain_edges(ENDS)
+    # nonprobe 8 takes a suffix of block 1 = {1, 2, 3}, 9 a prefix of block
+    # 3 = {5, 6, 7}: one constraint on each, and no tree
+    one = [(u, 8) for u in (3, 4, 5, 6, 7)] + [(u, 9) for u in (1, 2, 3, 4, 5)]
+    g = tagged_graph(7, 2, edges | set(one))
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert built == []
+    # nonprobe 10 takes a second suffix of block 1: its tree, and no other
+    g = tagged_graph(7, 3, edges | set(one) | {(u, 10) for u in (2, 3, 4, 5, 6, 7)})
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    assert built == [(1, 2, 3)]
+    assert res.certificate[10] == perfect_substring_bounds(res.sequence, g.adj[10])
 
 
 @st.composite
