@@ -174,18 +174,19 @@ def _read_canonical(text: str) -> TaggedGraph | None:
         if any(map(eq, us, vs)):  # a self-loop, as no numeral has a leading zero
             return None
         # Numerals are looked up, not converted: a miss is a vertex past n,
-        # and all mentions of a vertex share one int.  A chunk with fewer
-        # numerals than vertices, before any table, converts its own, so a
-        # huge header over a short body builds no table to range-check it.
-        if not vertex and 2 * len(us) < n:
-            table = {x: int(x) for x in {*us, *vs}}
-            if max(table.values(), default=0) > n:
+        # and all mentions of a vertex share one int.  A first chunk with
+        # fewer numerals than vertices is range-checked before the table,
+        # which would cost more than the chunk, so a huge header over a short
+        # bad body builds none.  With no leading zeros, a numeral is past n
+        # exactly when it is longer than str(n), or as long and greater.
+        if not vertex:
+            top = len(str(n)), str(n)
+            if 2 * len(us) < n and any(max(zip(map(len, xs), xs)) > top for xs in (us, vs)):
                 return None
-        else:
-            table = vertex = vertex or {str(v): v for v in range(1, n + 1)}
+            vertex = {str(v): v for v in range(1, n + 1)}
         try:
-            us = list(map(table.__getitem__, us))
-            vs = list(map(table.__getitem__, vs))
+            us = list(map(vertex.__getitem__, us))
+            vs = list(map(vertex.__getitem__, vs))
         except KeyError:
             return None
         nbr = nbr or [[] for _ in range(n + 1)]

@@ -366,7 +366,7 @@ class _CompState:
         t = self.t
         special: list = []
         for k in (self.border[pos - 1] for pos in (1, 2, t - 1, t) if 1 <= pos <= t):
-            if len(self.rg.blocks[k - 1]) > 1 and k not in special:
+            if self.rg.block_size[k] > 1 and k not in special:
                 special.append(k)
         for mask in range(1, 1 << len(special)):
             perms = dict(sigma)

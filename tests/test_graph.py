@@ -130,6 +130,18 @@ def test_bad_line_found_before_tables_per_vertex(line, message):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("chunk", [1, 2**20])
+def test_bulk_reader_refuses_exactly_the_vertices_past_n(monkeypatch, chunk):
+    # a short first chunk is range-checked by numeral length and digits,
+    # any other chunk by the table; either way exactly u > n is refused
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    for n in range(2, 120):
+        for u in range(2, n + 12):
+            for body in (f"e {u} 1\n", f"e 1 2\ne {u} 1\n", f"e 1 {u}\n" * 3):
+                bulk = graph._read_canonical(f"ptpig {n} 0\n{body}")
+                assert (bulk is None) == (u > n), (n, body)
+
+
 def test_roundtrip_on_fixtures(ex36, ex33, monkeypatch):
     # what serialize_tagged_graph writes is read in bulk
     monkeypatch.setattr(graph, "_scan_lines", no_line_scan)
