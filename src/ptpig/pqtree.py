@@ -11,7 +11,9 @@ go in at the full end of a partial Q-node, so no Q-node is ever reversed,
 and a P root builds no transient Q-node.  Two reserved marker leaves, pinned
 to the ends, let a plain ``restrict`` flush a set to one end or, with its
 complement, to either end; ``PQTree.pinned`` builds such a tree in that
-shape at once.  ``PQTree.paired`` builds the tree in which pairs of leaves
+shape at once.  No template moves ⊢ and ⊣: they stay the first and last
+children of the root Q-node, so the frontier between them is the members'
+order.  ``PQTree.paired`` builds the tree in which pairs of leaves
 are each consecutive, P(P(a₁ b₁) … P(aᵣ bᵣ)), at once too.
 
 A reduction keeps its state on the nodes, as Booth and Lueker's does: each
@@ -480,10 +482,3 @@ class PQTree:
                     stack.extend((" ", c) if i else (c,))
         return "".join(out)
 
-
-def strip_markers(order) -> tuple:
-    """Read an ordering of universe∪markers with the left marker first."""
-    xs = list(order)
-    if xs and xs[-1] == MARK_LEFT:
-        xs.reverse()
-    return tuple(x for x in xs if x != MARK_LEFT and x != MARK_RIGHT)

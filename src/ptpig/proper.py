@@ -222,22 +222,16 @@ def stair_sequence(g: ProbeGraph) -> CanonicalSequence | None:
     if g is not a proper interval graph.
 
     The block check already found each block's rightmost neighbour block,
-    so the ordering is not checked again: every vertex of the block at
-    position i has its rightmost closed neighbour at the last vertex of the
-    block at position upper[i].
+    so the ordering is not checked again: twins share their block's
+    rightmost neighbour, so the vertex stair sequence is the block stair
+    sequence with each block expanded into its vertices.
     """
     rg = compute_blocks(g)
     bo = order_blocks(g, rg)
     if bo is None:
         return None
     blocks = rg.blocks
-    order: list = []
-    last: list = []  # each block position's last vertex position
-    for k in bo.order:
-        order.extend(blocks[k - 1])
-        last.append(len(order) - 1)
-    upper = [last[u] for k, u in zip(bo.order, bo.upper) for _ in blocks[k - 1]]
-    return _stair(order, upper)
+    return sequence_from_iterable(v for k in _stair(bo.order, bo.upper).seq for v in blocks[k - 1])
 
 
 def _stair(order, upper) -> CanonicalSequence:

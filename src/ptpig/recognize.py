@@ -11,13 +11,14 @@ only its neighbors and each neighbor at least once.  One pipeline:
      vertices) and the block stair sequence; each component works on its
      own slice of them;
   3. per component, constrain each block's internal order, driven by a
-     window analysis of the block stair sequence per nonprobe, with a
-     PQ-tree (end markers included) once a block has a second constraint
-     (a first one is only recorded); then settle: make the deferred
-     either-end choices and fix the component's vertex sequence.  A
-     complete component (one block) has no block analysis: settle cuts the
-     circular order its sets allow and reads every window and end off
-     positions in it;
+     window analysis of the block stair sequence per nonprobe, every
+     constraint through one door: a first one is only recorded, and a
+     block gets a PQ-tree (end markers included) at its second; then
+     settle: apply the deferred either-end flushes through that door, try
+     the readings that reverse flushed blocks, and fix the component's
+     vertex sequence.  A complete component (one block) has no block
+     analysis: settle cuts the circular order its sets allow and reads
+     every window and end off positions in it;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
   5. the components' settled sequences, each reversed when its component
@@ -51,7 +52,7 @@ from .graph import (
     probe_subgraph,
     validate_nonprobe_independence,
 )
-from .pqtree import MARK_LEFT, MARK_RIGHT, PQTree, strip_markers
+from .pqtree import MARK_LEFT, MARK_RIGHT, PQTree
 from .proper import (
     CanonicalSequence,
     _stair,
@@ -197,12 +198,12 @@ def block_window_candidates(bcs: CanonicalSequence, fw: dict) -> set:
 class _CompState:
     """Block orders and bookkeeping for laying out one probe component.
 
-    A block's first constraint is only recorded in trees, as it always
-    holds; a block gets a PQ-tree at its second.  The component owns a run
-    of the global block ordering, border, and the matching run of the block
-    stair sequence bcs, positions first..last: components never share a
-    block, and their stair sequences follow one another in the order of
-    their blocks.
+    Every constraint on a block goes through _restrict, and an either-end
+    flush waits in deferred for settle.  The component owns a run of the
+    global block ordering, border, and the matching run of the block stair
+    sequence bcs, positions first..last: components never share a block,
+    and their stair sequences follow one another in the order of their
+    blocks.
     """
 
     def __init__(self, rg: ReducedGraph, bcs: CanonicalSequence, border, lo: int, size: int):
@@ -226,42 +227,27 @@ class _CompState:
         # component's vcs already is
         self.windows: dict = {}
 
-    def _tree(self, k: int) -> PQTree:
-        """Block k's tree: its vertices between the two end markers, under
-        the constraint recorded for k, if any."""
-        tree = self.trees.get(k)
-        if not isinstance(tree, PQTree):
-            s, tree = tree, PQTree.pinned(self.rg.blocks[k - 1])
-            self.trees[k] = tree
-            if s is not None:
-                tree.restrict(s)  # a first restrict of ∅ ≠ s ⊊ U succeeds
-        return tree
-
     def _restrict(self, k: int, s) -> str | None:
-        """Constrain block k's order by s: record a first constraint, apply
-        a later one to the tree."""
-        if k not in self.trees:
+        """Constrain block k's order by s, the one door for every constraint.
+        A set of fewer than two labels constrains nothing.  A first one is
+        only recorded, as a first restrict of ∅ ≠ s ⊊ U always succeeds; the
+        second builds the block's pinned tree and replays the first."""
+        if len(s) < 2:
+            return None
+        tree = self.trees.get(k)
+        if tree is None:
             self.trees[k] = s
             return None
-        return None if self._tree(k).restrict(s) else FINAL_CHECK_FAIL
+        if not isinstance(tree, PQTree):
+            recorded, tree = tree, PQTree.pinned(self.rg.blocks[k - 1])
+            self.trees[k] = tree
+            tree.restrict(recorded)
+        return None if tree.restrict(s) else FINAL_CHECK_FAIL
 
     def _whole_blocks(self, nbrs):
         """The blocks nbrs touches, if it takes each of them whole, else None."""
         ks = set(map(self.rg.block_of.__getitem__, nbrs))
         return ks if sum(map(self.rg.block_size.__getitem__, ks)) == len(nbrs) else None
-
-    def _role_constraint(self, w: int, k: int, s, first: bool, last: bool) -> str | None:
-        """Constrain partial block k by the roles it can take in w's window.
-
-        s, w's neighbours in k, is a suffix of k's order when k can only be
-        the window's first block, and a prefix when it can only be the last.
-        When it can be either, s is flushed to one end or the other, a
-        choice queued for settle.  Only a chain of blocks comes here.
-        """
-        if first and last:
-            self.deferred.append((w, k, frozenset(s)))
-            return None
-        return self._restrict(k, frozenset(s) | {MARK_RIGHT if first else MARK_LEFT})
 
     # .. in-component nonprobes ..
 
@@ -300,10 +286,15 @@ class _CompState:
             # occurrence to the other, eating the complement from the middle
             s = ngb[k] if len(fw) == 1 else set(self.rg.blocks[k - 1]) - ngb[k]
             return self._restrict(k, s)
+        # w's neighbours in a partial block that can be only the first block
+        # are a suffix (toward ⊣), only the last a prefix (toward ⊢), and
+        # either, at one end or the other: a flush queued for settle
+        firsts, lasts = {k1 for k1, _ in pairs}, {k2 for _, k2 in pairs}
         for k in partials:
-            code = self._role_constraint(w, k, ngb[k], any(k1 == k for k1, _ in pairs),
-                                         any(k2 == k for _, k2 in pairs))
-            if code is not None:
+            s = frozenset(ngb[k])
+            if k in firsts and k in lasts:
+                self.deferred.append((w, k, s))
+            elif code := self._restrict(k, s | {MARK_RIGHT if k in firsts else MARK_LEFT}):
                 return code
         return None
 
@@ -337,21 +328,24 @@ class _CompState:
         if not partials:
             return None
         # eating the left end, the partial block is the window's last block
-        # here; eating the right end, its first
+        # here; eating the right end, its first.  Both never fit a chain: c
+        # would lie strictly inside the set's other blocks, or be both ends
         c = partials[0]
-        return self._role_constraint(w, c, ngb[c], first=right, last=left)
+        return self._restrict(c, frozenset(ngb[c]) | {MARK_RIGHT if right else MARK_LEFT})
 
     # .. choice resolution and the vertex sequence ..
 
     def _readings(self):
         """Each reading of the block orders settle may try, as block -> order.
 
-        The constraints pin everything except possibly the reading
-        direction of the blocks at the two ends of the block ordering; any
-        subset of those with more than one vertex may be reversed (at most
-        16 combinations).  The constraints' own reading comes first, a
-        recorded one's by _recorded_order, and the reversible blocks are
-        found only when settle asks for another.
+        The constraints' own reading comes first: a tree's frontier between
+        its end markers, or a recorded constraint's by _recorded_order.
+        Then the blocks that carry a queued flush, which sit at border
+        positions 1, 2, t - 1 or t, are reversed in every combination (at
+        most 16), in border order, found only when settle asks.  Reversing
+        any other block never passes first: one pinned toward ⊢ or ⊣ fails
+        that nonprobe's window or end, and one with no such pin changes no
+        check, so the reading that keeps it passes earlier.
         """
         sigma = {}
         for k in self.border:
@@ -359,18 +353,15 @@ class _CompState:
             if tree is None:
                 sigma[k] = members
             elif isinstance(tree, PQTree):
-                sigma[k] = tuple(strip_markers(tree.frontier()))
+                sigma[k] = tuple(tree.frontier()[1:-1])
             else:
                 sigma[k] = _recorded_order(members, tree)
         yield sigma
-        t = self.t
-        special: list = []
-        for k in (self.border[pos - 1] for pos in (1, 2, t - 1, t) if 1 <= pos <= t):
-            if self.rg.block_size[k] > 1 and k not in special:
-                special.append(k)
-        for mask in range(1, 1 << len(special)):
+        # first occurrences in the stair sequence follow the border order
+        flushed = sorted({k for _, k, _ in self.deferred}, key=self.bcs.L.__getitem__)
+        for mask in range(1, 1 << len(flushed)):
             perms = dict(sigma)
-            for i, k in enumerate(special):
+            for i, k in enumerate(flushed):
                 if mask >> i & 1:
                     perms[k] = tuple(reversed(sigma[k]))
             yield perms
@@ -403,7 +394,7 @@ class _CompState:
         in σ in O(d), with no search.
 
         On a chain of blocks, the queued either-end flushes come first,
-        each on the block's tree, built then if need be.  For
+        each as _restrict(k, s) and then _restrict(k, U - s).  For
         ∅ ≠ s ⊊ U, s is a prefix or a suffix of the block's order iff s and
         U - s are both consecutive in it; the markers pin the order between
         the tree's ends, so two plain restricts state each flush exactly,
@@ -466,8 +457,7 @@ class _CompState:
                 self.ends[w] = got
             return None
         for w, k, s in self.deferred:
-            tree = self._tree(k)
-            if not (tree.restrict(s) and tree.restrict(set(self.rg.blocks[k - 1]) - s)):
+            if self._restrict(k, s) or self._restrict(k, frozenset(self.rg.blocks[k - 1]) - s):
                 return w
         witness = None
         for perms in self._readings():
@@ -541,11 +531,9 @@ class _CompState:
 
 
 def _recorded_order(members: tuple, s) -> tuple:
-    """strip_markers of PQTree.pinned(members).frontier() after its one
-    restrict(s): the members outside s, then those in s, each in block
-    order, s first when it holds ⊢; a lone s of one member moves nothing."""
-    if len(s) == 1:
-        return members
+    """PQTree.pinned(members).frontier()[1:-1] after its one restrict(s),
+    |s| >= 2: the members outside s, then those in s, each in block order,
+    s first when it holds ⊢."""
     inside = [x for x in members if x in s]
     outside = [x for x in members if x not in s]
     return tuple(inside + outside if MARK_LEFT in s else outside + inside)

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from ptpig import tagged_graph
+from ptpig.pqtree import MARK_LEFT, MARK_RIGHT
 
 # Connected reduced-ish proper interval graph on 8 vertices (vertices 3 and 4
 # are closed twins).  Stair sequence golden lives in test_proper.
@@ -87,6 +88,15 @@ BAD_WIRE_TEXTS = [
     ("ptpig -1 1\ne 1 2\n", "line 1: negative count"),
     ("ptpig 3 1\ne 1 -2\n", "line 2: vertex -2 out of range (n=4)"),
 ]
+
+
+def strip_markers(order) -> tuple:
+    """Read an ordering of universe∪markers with the left marker first."""
+    xs = list(order)
+    if xs and xs[-1] == MARK_LEFT:
+        xs.reverse()
+    return tuple(x for x in xs if x != MARK_LEFT and x != MARK_RIGHT)
+
 
 def no_line_scan(text):
     """Stands in for the line scanner where text must be read in bulk."""

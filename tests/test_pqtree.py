@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from ptpig import OracleBudgetExceeded, PQTree
 from ptpig.oracle import MAX_UNIVERSE
-from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, _preorder, strip_markers
+from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, _preorder
 
-from .conftest import shallow_stack
+from .conftest import shallow_stack, strip_markers
 
 
 @dataclass(frozen=True)
@@ -552,6 +552,8 @@ def _check_every_sequence(make, universe, start, depth=3) -> int:
             if expect:
                 assert frontier_set(t) == expect, [sorted(r) for r in seq]
                 assert t.frontier() == _preorder_leaves(t), [sorted(r) for r in seq]
+                if MARK_LEFT in universe:  # no template moves a pinned tree's markers
+                    assert t.frontier()[::len(universe) - 1] == [MARK_LEFT, MARK_RIGHT], seq
                 if len(seq) < depth:
                     stack.append((seq, expect))
     return checked

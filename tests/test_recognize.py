@@ -25,11 +25,11 @@ from ptpig import (
     two_stretch_filter,
     verify_certificate,
 )
-from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, strip_markers
+from ptpig.pqtree import MARK_LEFT, MARK_RIGHT
 from ptpig.proper import _stair, order_blocks
 from ptpig.recognize import _CompState, _recorded_order, block_classes, block_window_candidates
 
-from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack
+from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack, strip_markers
 
 # the module itself: the package's ``recognize`` attribute is the function
 REC = importlib.import_module("ptpig.recognize")
@@ -165,9 +165,15 @@ def _chain_state(groups):
 
 
 def _block_trees(state) -> dict:
-    """Each constrained block's tree, serialized; _tree replays a block's
-    one recorded constraint on a fresh tree."""
-    return {k: state._tree(k).serialize() for k in list(state.trees)}
+    """Each constrained block's tree, serialized; a block's one recorded
+    constraint is replayed on a fresh pinned tree."""
+    out = {}
+    for k, tree in state.trees.items():
+        if not isinstance(tree, PQTree):
+            s, tree = tree, PQTree.pinned(state.rg.blocks[k - 1])
+            assert tree.restrict(s)
+        out[k] = tree.serialize()
+    return out
 
 
 # the block stair sequences read 1 2 1 3 2 3 (ENDS, MIDDLE), 3 2 3 1 2 4 1 4
@@ -227,7 +233,7 @@ def test_boundary_role_table(row, groups, nbrs, trees):
 
 def test_recorded_order_is_the_pinned_tree_after_one_restrict():
     # every block of up to 6 members, in two orders, every ∅ ≠ s ⊊ U, as a
-    # suffix, a prefix or a lone set
+    # suffix, a prefix or a lone set of two or more
     cases = 0
     for n in range(2, 7):
         for members in (tuple(range(1, n + 1)), (*range(2, n + 1, 2), *range(1, n + 1, 2))):
@@ -235,11 +241,18 @@ def test_recorded_order_is_the_pinned_tree_after_one_restrict():
                 for s in itertools.combinations(members, r):
                     for extra in ({MARK_RIGHT}, {MARK_LEFT}, set()):
                         got = frozenset(s) | extra
+                        if len(got) < 2:
+                            continue
                         tree = PQTree.pinned(members)
                         assert tree.restrict(got)
                         assert _recorded_order(members, got) == strip_markers(tree.frontier())
                         cases += 1
-    assert cases == 3 * 2 * sum(2**n - 2 for n in range(2, 7))
+    assert cases == 3 * 2 * sum(2**n - 2 for n in range(2, 7)) - 2 * sum(range(2, 7))
+    # a set of fewer than two labels constrains nothing and is not recorded
+    state = _chain_state(ENDS)
+    for s in (frozenset(), frozenset({2}), frozenset({MARK_LEFT})):
+        assert state._restrict(1, s) is None
+    assert state.trees == {}
 
 
 def _count_pinned(monkeypatch) -> list:
@@ -286,19 +299,102 @@ def proper_components(draw, max_p=7):
     return p, edges
 
 
+def _end_sets(state) -> tuple[set, set]:
+    """Every set that is the perfect run at the left end, and every one at
+    the right end, of the component's vertex sequence under some order of
+    each block's members, by trying all of those orders."""
+    bseq = state.bcs.seq[state.first - 1:state.last]
+    lefts, rights = set(), set()
+    blocks = [itertools.permutations(state.rg.blocks[k - 1]) for k in state.border]
+    for orders in itertools.product(*blocks):
+        sigma = dict(zip(state.border, orders))
+        seq = [v for k in bseq for v in sigma[k]]
+        for run, ends in ((seq, lefts), (seq[::-1], rights)):
+            s = set()
+            for v, nxt in zip(run, run[1:]):
+                s.add(v)
+                if nxt not in s:
+                    ends.add(frozenset(s))
+    return lefts, rights
+
+
+def _check_end_sets(p, edges) -> None:
+    """On a complete component every ∅ ≠ s ⊊ V is the perfect run at both
+    ends.  On a chain of two or more blocks none is, which is what lets
+    constrain_boundary restrict at once, with no either-end flush: it
+    accepts exactly the sets at an end and pins their partial block toward
+    that end."""
+    state = _component_state(p, edges)
+    lefts, rights = _end_sets(state)
+    for r in range(1, p):
+        for nbrs in map(frozenset, itertools.combinations(range(1, p + 1), r)):
+            if state.t == 1:
+                assert nbrs in lefts and nbrs in rights
+                continue
+            assert not (nbrs in lefts and nbrs in rights), nbrs
+            fresh = _CompState(state.rg, state.bcs, state.border, 0, p)
+            ok = fresh.constrain_boundary(p + 1, nbrs) is None
+            assert ok == (nbrs in lefts or nbrs in rights), nbrs
+            assert fresh.deferred == []
+            for s in fresh.trees.values():
+                assert s - nbrs == {MARK_LEFT if nbrs in lefts else MARK_RIGHT}
+
+
 @given(proper_components())
 @settings(max_examples=150, deadline=None)
 def test_boundary_sets_eat_both_ends_only_of_one_block(case):
-    # both ends admit a boundary set only when its partial block c holds
-    # every other block of the set inside the stair sequence: such a block
-    # contains c strictly, which a proper ordering rules out unless c is
-    # the whole component.  So no boundary set queues an either-end flush.
-    p, edges = case
-    for r in range(1, p):
-        for nbrs in itertools.combinations(range(1, p + 1), r):
-            state = _component_state(p, edges)
-            state.constrain_boundary(p + 1, frozenset(nbrs))
-            assert state.deferred == []
+    _check_end_sets(*case)
+
+
+def _small_chains() -> list:
+    """(p, edges) of connected proper interval graphs on 2-7 probes with two
+    or more twin blocks, each once: what generate plants and every chain of
+    _chain_edges, each as numbered and under one seeded relabelling."""
+    rng = random.Random(2016)
+    graphs = []
+    for p in range(2, 8):
+        for seed in range(60):
+            g, _ = generate(GenSpec(p, 0, seed=seed, overlap=(0.3, 0.6, 0.9)[seed % 3]))
+            graphs.append((p, {(u, v) for u in range(1, p + 1) for v in g.adj[u] if u < v}))
+        for cuts in itertools.product((False, True), repeat=p - 1):
+            groups = [[1]]
+            for v, cut in zip(range(2, p + 1), cuts):
+                if cut:
+                    groups.append([])
+                groups[-1].append(v)
+            graphs.append((p, _chain_edges(groups)))
+    out = {}
+    for p, edges in graphs:
+        label = [0, *rng.sample(range(1, p + 1), p)]
+        for es in (edges, {tuple(sorted((label[u], label[v]))) for u, v in edges}):
+            if compute_blocks(probe_subgraph(tagged_graph(p, 0, es))).t >= 2:
+                out[p, frozenset(es)] = None
+    return list(out)
+
+
+def test_no_set_is_the_run_at_both_ends_of_a_chain():
+    graphs = _small_chains()
+    assert len(graphs) >= 300
+    for p, edges in graphs:
+        _check_end_sets(p, edges)
+
+
+def test_flushed_blocks_sit_at_the_ends_of_a_chain():
+    # _readings reverses only the blocks that carry a flush; at border
+    # positions 1, 2, t - 1 and t there are at most four of them, so at
+    # most 16 readings
+    flushed = 0
+    for p, edges in _small_chains():
+        state = _component_state(p, edges)
+        t = state.t
+        for r in range(2, p + 1):
+            for nbrs in map(frozenset, itertools.combinations(range(1, p + 1), r)):
+                fresh = _CompState(state.rg, state.bcs, state.border, 0, p)
+                fresh.constrain_local(p + 1, nbrs)
+                for _, k, _ in fresh.deferred:
+                    assert state.border.index(k) + 1 in (1, 2, t - 1, t), (edges, nbrs)
+                flushed += len(fresh.deferred)
+    assert flushed >= 100
 
 
 # -- golden verdicts -----------------------------------------------------------
