@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .generate import GenSpec, generate
 from .graph import (
+    _CHUNK,
     MAX_INPUT_BYTES,
     MAX_VERTICES,
     GraphFormatError,
@@ -80,6 +81,51 @@ def _cert_lines(cert: dict) -> str:
 
 
 def _parse_cert(text: str) -> dict:
+    """Vertex -> (lo, hi) from certificate text, ``#`` comments and blank
+    lines ignored.  Text in _cert_lines' form is read in bulk; any other
+    text, or one that fails a check of the bulk reader (a duplicate vertex,
+    a numeral int() refuses), goes through a line scanner, which alone
+    raises, naming the line.  Both give the same map."""
+    cert = _read_cert_lines(text)
+    return cert if cert is not None else _scan_cert(text)
+
+
+_NUMERAL_CHARS = dict.fromkeys(map(ord, "-0123456789"))  # deleted by translate
+
+
+def _read_cert_lines(text: str) -> dict | None:
+    """The map of a text in _cert_lines' form, "<v> <lo> <hi>" lines of
+    numerals -?[0-9]+, or None if the text is not in that form or fails a
+    check.  Each chunk of about _CHUNK characters, cut after a newline, is
+    checked whole before it is split into tokens, as parse_tagged_graph's
+    bulk reader does.  With its numerals' characters deleted, a chunk of k
+    lines in that form reads two spaces and a newline k times, and it splits
+    into 3k tokens, none empty; int() then refuses a minus sign anywhere but
+    first.  Deleting characters is several times cheaper than matching a
+    regular expression of that form."""
+    cert: dict = {}
+    lines = pos = 0
+    while pos < len(text):
+        cut = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        chunk = text[pos:cut]
+        pos = cut
+        k = chunk.count("\n")
+        if chunk.translate(_NUMERAL_CHARS) != "  \n" * k:
+            return None
+        tokens = chunk.split()  # v lo hi v lo hi ...
+        if len(tokens) != 3 * k:
+            return None
+        try:
+            cert.update(zip(map(int, tokens[0::3]),
+                            zip(map(int, tokens[1::3]), map(int, tokens[2::3]))))
+        except ValueError:  # a misplaced minus, or more digits than int() takes
+            return None
+        lines += k
+    return cert if len(cert) == lines else None  # else a vertex repeats
+
+
+def _scan_cert(text: str) -> dict:
+    """_parse_cert for any text, line by line."""
     cert: dict = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,12 +1,14 @@
 """Brute-force reference implementations, deliberately naive.
 
-Ground truth for small instances only: a tagged graph is accepted iff some
-arrangement (component order x per-component canonical ordering) yields a
-doubled endpoint sequence in which every nonprobe owns a perfect substring —
-a contiguous piece containing only its neighbors and all of them at least
-once.  Everything here enumerates permutations and scans substrings; the
-real recognizer is checked against these functions, never the other way
-round.
+Ground truth for small instances only, by the paper's characterization
+theorem rather than the interval definition: a tagged graph is accepted iff
+some arrangement (component order x per-component canonical ordering)
+yields a doubled endpoint sequence in which every nonprobe owns a perfect
+substring — a contiguous piece containing only its neighbors and all of
+them at least once.  So checking the recognizer against this oracle checks
+it against the theorem; nothing here enumerates interval representations.
+Everything here enumerates permutations and scans substrings; the real
+recognizer is checked against these functions, never the other way round.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ only its neighbors and each neighbor at least once.  One pipeline:
      the readings that reverse flushed blocks, and fix the component's
      vertex sequence.  A complete component (one block) has no block
      analysis: settle cuts the circular order its sets allow and reads
-     every window and end off positions in it;
+     every window and end off the runs its sets were restricted as;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
   5. the components' settled sequences, each reversed when its component
@@ -383,15 +383,17 @@ class _CompState:
         instance, which the anchor transform turns into plain
         consecutivity: replace every set holding the anchor by its
         complement.  Any member may be the anchor, and the first set that
-        fails is the same for each.  Anchored at x, the sets cost Σ|s| +
-        Σ_{s∋x}(n - 2|s|) leaves, n = |U|; one counting pass finds the
-        cheapest member, the earliest in the block on a tie.  That cost
-        averages at most 2·Σ|s| over the members, so the restricts together
-        take O(Σ|s|) leaves.  The frontier, read as a circle, is cut at the
-        end of P_min whose other neighbour lies outside P_max.  Reversing σ
+        fails is the same for each.  _cheapest_anchor takes the member of
+        the fewest restricted leaves; that cost averages at most 2·Σ|s| over
+        the members, so the restricts together take O(Σ|s|) leaves.  The
+        frontier, read as a circle, is cut at the end of P_min whose other
+        neighbour lies outside P_max, so every P_i starts σ.  Reversing σ
         turns arcs into arcs and prefixes into suffixes, so σσ is the one
-        reading, and each window and end is read off the members' positions
-        in σ in O(d), with no search.
+        reading.  Nothing is searched or re-read: a boundary set read as a
+        prefix eats (1, d), one read as the suffix a prefix leaves
+        (2n - d + 1, 2n), and a local set's arc starts at its restricted
+        run's first frontier index, or one past its complement's last,
+        mapped through the cut: (start + 1, start + d).
 
         On a chain of blocks, the queued either-end flushes come first,
         each as _restrict(k, s) and then _restrict(k, U - s).  For
@@ -416,11 +418,17 @@ class _CompState:
             if self.window_ws or self.boundary_ws:
                 tree = PQTree(members)  # a circle has no ends: no markers
                 full = frozenset(members)
+                n = len(members)
                 chain: list = []  # the distinct prefixes of σ, by size
                 latest: dict = {}  # prefix -> the last nonprobe read as it
                 for w, s in self.boundary_ws:
+                    # w eats a prefix of σ, or the suffix a prefix leaves
+                    d = len(s)
                     if chain and not _nests(s, chain[0]):
                         s = full - s
+                        self.ends[w] = (2 * n - d + 1, 2 * n)
+                    else:
+                        self.ends[w] = (1, d)
                     if s not in latest:
                         i = bisect_left(chain, len(s), key=len)
                         if not all(_nests(s, p) for p in chain[max(i - 1, 0):i + 1]):
@@ -430,31 +438,30 @@ class _CompState:
                 pmax = chain[-1] if chain else full
                 sets = [(latest[p], p) for p in chain] + [(latest[p], pmax - p) for p in chain]
                 sets += self.window_ws
-                n = len(members)
-                extra = dict.fromkeys(members, 0)  # x -> Σ_{s∋x}(n - 2|s|)
-                for _, s in sets:
-                    c = n - 2 * len(s)
-                    for x in s:
-                        extra[x] += c
-                anchor = min(members, key=extra.__getitem__)
-                for w, s in sets:
-                    if not tree.restrict(s if anchor not in s else full.difference(s)):
+                anchor, sides = _cheapest_anchor(members, full, sets)
+                runs = []  # each set as restricted: s, or U - s when s holds the anchor
+                for (w, s), t in zip(sets, sides):
+                    r = t if anchor not in t else s if t is not s else full.difference(s)
+                    if not tree.restrict(r):
                         return w
-                order = tuple(tree.frontier())
+                    runs.append(r)
+                frontier = tree.frontier()
+                i, step = 0, 1
                 if chain:
                     pmin = chain[0]
-                    i, step = next((i, d) for i, x in enumerate(order) if x in pmin
-                                   for d in (1, -1) if order[(i - d) % n] not in pmax)
-                    order = tuple(order[(i + step * j) % n] for j in range(n))
-            vcs = self.vcs = sequence_from_iterable(order + order)
-            for w, nbrs in self.window_ws:
-                if (got := _arc_window(vcs, nbrs)) is None:
-                    return w
-                self.windows[nbrs] = got
-            for w, nbrs in self.boundary_ws:
-                if (got := _arc_side(vcs, nbrs)) is None:
-                    return w
-                self.ends[w] = got
+                    i, step = next((i, d) for i, x in enumerate(frontier) if x in pmin
+                                   for d in (1, -1) if frontier[(i - d) % n] not in pmax)
+                order = tuple(frontier[i:] + frontier[:i] if step == 1
+                              else frontier[i::-1] + frontier[:i:-1])
+                # s's arc starts at its run's first frontier index, or one past
+                # its complement's last; σ[j] is frontier[(i + step·j) % n]
+                pos = dict(zip(frontier, range(n)))
+                for (w, s), r in zip(self.window_ws, runs[2 * len(chain):]):
+                    d = len(s)
+                    first = min(map(pos.__getitem__, r)) + (0 if r is s else n - d)
+                    start = (first - i if step == 1 else i - first - d + 1) % n
+                    self.windows[s] = (start + 1, start + d)
+            self.vcs = sequence_from_iterable(order + order)
             return None
         for w, k, s in self.deferred:
             if self._restrict(k, s) or self._restrict(k, frozenset(self.rg.blocks[k - 1]) - s):
@@ -539,6 +546,25 @@ def _recorded_order(members: tuple, s) -> tuple:
     return tuple(inside + outside if MARK_LEFT in s else outside + inside)
 
 
+def _cheapest_anchor(members: tuple, full: frozenset, sets: list):
+    """The anchor for the sets [(w, s)], the member x of the fewest leaves
+    Σ|s| + Σ_{s∋x}(n - 2|s|), the earliest on a tie, and each set's smaller
+    side, s or U - s.  A set with |s| > n/2 adds 2|s| - n to each member of
+    U - s instead of n - 2|s| to each of s: every total moves by that one
+    constant, so the same member wins for Σ min(|s|, n - |s|) additions."""
+    n = len(members)
+    extra = dict.fromkeys(members, 0)
+    sides = []
+    for _, s in sets:
+        c = n - 2 * len(s)
+        if c < 0:
+            s, c = full.difference(s), -c
+        for x in s:
+            extra[x] += c
+        sides.append(s)
+    return min(members, key=extra.__getitem__), sides
+
+
 def _vertex_side(vcs: CanonicalSequence, nbrs):
     """The perfect run (lo, hi) of nbrs at an end of the sequence, or None.
 
@@ -552,42 +578,6 @@ def _vertex_side(vcs: CanonicalSequence, nbrs):
         return got
     got = _last_run(vcs, nbrs, *got)
     return got if got[1] == len(vcs.seq) else None
-
-
-def _arc_window(vcs: CanonicalSequence, nbrs):
-    """perfect_substring_bounds(vcs, nbrs) for vcs = σσ and ∅ ≠ nbrs ⊊ σ,
-    read off the neighbours' positions in σ in O(d), d = |nbrs|.
-
-    A perfect run exists iff nbrs is a circular arc of σ.  An arc that does
-    not wrap spans positions a..b of σ, min to max, and is found first
-    there.  One that wraps takes σ's first j and last d - j positions; it
-    is found first across the seam, at n - d + j + 1..n + j, and the
-    positions' sum S = j(d - n) + dn - d(d - 1)/2 gives j.  The d distinct
-    positions then confirm it when each lies in 1..j or past n - d + j,
-    the d places the arc takes.
-    """
-    n, d = len(vcs.seq) // 2, len(nbrs)
-    pos = list(map(vcs.L.__getitem__, nbrs))
-    lo, hi = min(pos), max(pos)
-    if hi - lo + 1 == d:  # d distinct positions in a range of d
-        return lo, hi
-    j, rest = divmod(d * (2 * n - d + 1) - 2 * sum(pos), 2 * (n - d))
-    if rest or not 0 < j < d or not all(x <= j or x > n - d + j for x in pos):
-        return None
-    return n - d + j + 1, n + j
-
-
-def _arc_side(vcs: CanonicalSequence, nbrs):
-    """_vertex_side(vcs, nbrs) for vcs = σσ and ∅ ≠ nbrs ⊊ σ: (1, d) when
-    nbrs is a prefix of σ, (2n - d + 1, 2n) when it is a suffix, else
-    None."""
-    pos = list(map(vcs.L.__getitem__, nbrs))
-    lo, hi = min(pos), max(pos)
-    d = len(pos)
-    if hi - lo + 1 != d:
-        return None
-    n2 = len(vcs.seq)
-    return (1, d) if lo == 1 else (n2 - d + 1, n2) if 2 * hi == n2 else None
 
 
 def _nests(a, b) -> bool:

@@ -96,6 +96,36 @@ def test_criterion_4_class_separation(tmp_path):
     report(ok, "criterion 4: nonprobe-center claw accepted, 4-cycle representation verifies")
 
 
+def _tagged_adjacent(rep: dict, p: int, u: int, v: int) -> bool:
+    """Adjacency of u < v in the tagged probe interval graph of the
+    intervals rep, probes 1..p: probes whose intervals meet, and a probe and
+    a nonprobe whose interval holds an endpoint of the probe's."""
+    if v <= p:
+        return max(rep[u][0], rep[v][0]) <= min(rep[u][1], rep[v][1])
+    lo, hi = rep[v]
+    return u <= p and any(lo <= x <= hi for x in rep[u])
+
+
+def test_criterion_4_tpig_gap_golden():
+    # probes K_4, nonprobes 5, 6 and 7 seeing {3, 4}, {1, 4} and {2, 4}: a
+    # tagged probe interval graph with a proper probe part, yet not a
+    # proper one.  Its block is complete, so its sets are arcs of one circle
+    # and probe 4 cannot end three of them; rep, where interval 3 strictly
+    # holds the others, is a TPIG representation that verify_certificate
+    # refuses as no proper one
+    g = tagged_graph(4, 3, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+                     + [(3, 5), (4, 5), (1, 6), (4, 6), (2, 7), (4, 7)])
+    rep = {1: (0, 1), 2: (0, 2), 3: (0, 4), 4: (1, 3), 5: (3, 4), 6: (1, 1), 7: (2, 3)}
+    res = recognize(g)
+    ok = (res.accepted, res.reason, res.witness) == (False, "FINAL_CHECK_FAIL", 7)
+    ok = ok and not oracle_recognize(g)
+    ok = ok and all((v in g.adj[u]) == _tagged_adjacent(rep, g.p, u, v)
+                    for u, v in itertools.combinations(range(1, g.n + 1), 2))
+    ok = ok and verify_certificate(g, rep) == ("containment", 3, 2)
+    report(ok, "criterion 4: a TPIG with a proper probe part but no proper"
+               " representation is rejected, FINAL_CHECK_FAIL n3")
+
+
 def _exhaustive_cases():
     for p in range(0, 5):
         for q in range(0, 2):

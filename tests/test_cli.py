@@ -180,6 +180,48 @@ def test_verify_duplicate_cert_line(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# the cases of test_verify_duplicate_cert_line, then texts outside
+# _cert_lines' form
+CERT_TEXTS = [
+    "1 1 3\n1 1 3\n2 2 4\n", "1 1 3\n2 2\n", "# a\n1 a 3\n", "1 +1 3\n", "1 1 1_0\n",
+    "\u0661 1 3\n",
+    "# comment\n1 1 3  # trailing\n\n2 2 4\n", "1 1 3\r\n2 2 4\r\n", "1\t1 3\n2 2\t4\n",
+    "1 1 3\n2 2 4", "1 1 3 4\n", "1 1 " + "9" * 5000 + "\n", " 1 1 3\n", "1  1 3\n",
+    "-1 -2 -3\n0 007 -0\n", "", "\n",
+]
+
+
+def _read_cert_both(text: str) -> list:
+    """What _parse_cert and the line scanner each return, or their error."""
+    out = []
+    for read in (cli._parse_cert, cli._scan_cert):
+        try:
+            out.append(read(text))
+        except graph.GraphFormatError as exc:
+            out.append(f"error: {exc}")
+    return out
+
+
+def test_bulk_cert_reader_matches_the_line_scanner(monkeypatch):
+    for text in CERT_TEXTS:
+        bulk, scanned = _read_cert_both(text)
+        assert bulk == scanned, text
+    # the writer's output over three chunks, read without the scanner
+    cert = {v: (2 * v - 1, 2 * v) for v in range(1, 120_001)}
+    text = cli._cert_lines(cert)
+    assert len(text) > 2 * cli._CHUNK
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "_scan_cert", no_line_scan)
+        assert cli._parse_cert(text) == cert
+    # a repeat in a later chunk, and the texts above, over small chunks
+    monkeypatch.setattr(cli, "_CHUNK", 7)
+    small = cli._cert_lines({v: (v, -v) for v in range(1, 40)})
+    for text in [small, small + "3 1 1\n", small.replace("\n", "\r\n", 1)] + CERT_TEXTS:
+        bulk, scanned = _read_cert_both(text)
+        assert bulk == scanned, text
+    assert _read_cert_both(small + "3 1 1\n")[0] == "error: line 40: duplicate vertex 3"
+
+
 def test_canonical_golden(tmp_path, capsys):
     from .conftest import EX22_EDGES
 

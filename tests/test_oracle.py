@@ -53,8 +53,11 @@ def test_relabeling_nonprobes_is_invisible():
 
 
 def test_oracle_imports_only_the_standard_library_and_graph():
-    # the oracle rests on the definition, so it must stay independent of
-    # the recognizer's code: no import of recognize, proper or pqtree
+    # the oracle rests on the paper's characterization (canonical orderings,
+    # and perfect substrings of the doubled endpoint sequence), not on the
+    # interval definition, so criterion 5 checks recognize against the
+    # theorem; it must stay independent of the recognizer's code: no import
+    # of recognize, proper or pqtree
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:

@@ -1120,23 +1120,87 @@ def test_nested_clique_reads_windows_without_searching(monkeypatch):
         assert res.certificate[w] == perfect_substring_bounds(res.sequence, frozenset(g.adj[w]))
 
 
-def test_arc_reads_match_a_search_on_the_doubled_order():
-    # on a complete component's sequence σσ, every proper non-empty subset
-    # reads the window a search finds, None included, and the side
-    # _vertex_side finds
+def _one_block_graph(rng, n: int, broken: bool):
+    """K_n on n of the probes 1..n + 2 under a seeded relabelling, in a
+    hidden order σ, and the other two probes x and y isolated.  Nonprobes,
+    in seeded order: every arc of σ of two members and about half of the
+    longer ones, and about half of the prefixes of σ plus x and of the
+    suffixes plus y.  broken (n >= 4) adds one set that is not an arc of
+    σ, alone or plus x: the arcs of two fix σ's circle up to reflection, so
+    no order serves it."""
+    p = n + 2
+    *sigma, x, y = rng.sample(range(1, p + 1), p)
+    sets = [[sigma[(a + j) % n] for j in range(d)] for d in range(2, n) for a in range(n)]
+    sets = [s for s in sets if len(s) == 2 or rng.random() < 0.5]
+    sets += [sigma[:d] + [x] for d in range(1, n) if rng.random() < 0.5]
+    sets += [sigma[n - d:] + [y] for d in range(1, n) if rng.random() < 0.5]
+    if broken:
+        arcs = {frozenset(sigma[(a + j) % n] for j in range(d)) for d in range(n) for a in range(n)}
+        s = rng.sample(sigma, rng.randint(2, n - 2))
+        while frozenset(s) in arcs:
+            s = rng.sample(sigma, rng.randint(2, n - 2))
+        sets.append(s + [x] if rng.random() < 0.5 else s)
+    rng.shuffle(sets)
+    edges = [(u, v) for u in sigma for v in sigma if u < v]
+    edges += [(u, p + i) for i, s in enumerate(sets, 1) for u in s]
+    return tagged_graph(p, len(sets), edges)
+
+
+# (n, witness - p) of every broken family below, taken before windows and
+# ends were read off the restricted runs
+BROKEN_ONE_BLOCK_WITNESSES = (
+    (4, 1), (4, 11), (4, 8), (4, 2), (4, 10), (4, 4), (4, 7), (4, 4), (4, 1), (4, 14),
+    (5, 3), (5, 12), (5, 3), (5, 8), (5, 14), (5, 2), (5, 7), (5, 13), (5, 7), (5, 11),
+    (6, 8), (6, 14), (6, 4), (6, 24), (6, 19), (6, 5), (6, 3), (6, 14), (6, 13), (6, 5),
+    (7, 6), (7, 20), (7, 17), (7, 23), (7, 26), (7, 2), (7, 21), (7, 4), (7, 25), (7, 4),
+)
+
+
+def test_one_block_windows_and_ends_are_read_off_the_runs():
+    # a complete component's local windows are arcs of its cut order σ, some
+    # wrapping, and its boundary sets are prefixes and suffixes of σ, the
+    # cut taken in either direction; each is read, not searched, and is
+    # what a search of the final sequence finds.  Families that are not
+    # arcs reject where they did before
     rng = random.Random(20_161_020)
-    arcs = 0
-    for n in range(1, 8):
-        sigma = rng.sample(range(1, 3 * n + 1), n)  # a seeded relabelling
-        cs = sequence_from_iterable(sigma + sigma)
-        for size in range(1, n):
-            for s in itertools.combinations(sigma, size):
-                s = frozenset(s)
-                got = REC._arc_window(cs, s)
-                assert got == perfect_substring_bounds(cs, s), (sigma, s)
-                assert REC._arc_side(cs, s) == REC._vertex_side(cs, s), (sigma, s)
-                arcs += got is not None
-    assert arcs == sum(n * (n - 1) for n in range(1, 8))  # n arcs of each size 1..n-1
+    accepted, witnesses = 0, []
+    for n in range(2, 8):
+        for i in range(40):
+            broken = n >= 4 and i % 4 == 0
+            g = _one_block_graph(rng, n, broken)
+            res = recognize(g)
+            if broken:
+                assert res.reason == "FINAL_CHECK_FAIL"
+                witnesses.append((n, res.witness - g.p))
+                continue
+            assert res.accepted and verify_certificate(g, res.certificate) is None
+            for w in range(g.p + 1, g.n + 1):
+                assert res.certificate[w] == perfect_substring_bounds(res.sequence, g.adj[w])
+            accepted += 1
+    assert accepted == 200
+    assert tuple(witnesses) == BROKEN_ONE_BLOCK_WITNESSES
+
+
+def test_cheapest_anchor_matches_a_full_count():
+    # _cheapest_anchor counts over each set's smaller side; the member it
+    # takes is the first one of the fewest Σ_{s∋x}(n - 2|s|), ties included
+    rng = random.Random(20_161_021)
+    ties = 0
+    for _ in range(3000):
+        n = rng.randint(1, 9)
+        members = tuple(rng.sample(range(1, 20), n))
+        full = frozenset(members)
+        sets = []
+        for w in range(rng.randint(0, 6)):
+            s = sorted(rng.sample(members, rng.randint(0, n)))
+            sets.append((w, tuple(s) if rng.random() < 0.5 else frozenset(s)))
+        total = {x: sum(n - 2 * len(s) for _, s in sets if x in s) for x in members}
+        anchor, sides = REC._cheapest_anchor(members, full, sets)
+        assert anchor == min(members, key=total.__getitem__)
+        ties += list(total.values()).count(total[anchor]) > 1
+        for (_, s), side in zip(sets, sides):
+            assert side is s if 2 * len(s) <= n else side == full - set(s)
+    assert ties >= 1000
 
 
 def test_one_block_reads_no_block_classes(monkeypatch):
