@@ -236,13 +236,8 @@ def run_bench(sizes, seed: int) -> BenchReport:
             for g, times in zip(graphs, samples)]
     slope = None
     if len(rows) > 1:
-        xs = [math.log(r.size) for r in rows]
-        ys = [math.log(r.seconds) for r in rows]
-        mx = sum(xs) / len(xs)
-        my = sum(ys) / len(ys)
-        slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
-            (x - mx) ** 2 for x in xs
-        )
+        slope = statistics.linear_regression([math.log(r.size) for r in rows],
+                                             [math.log(r.seconds) for r in rows]).slope
     return BenchReport(rows=tuple(rows), slope=slope)
 
 

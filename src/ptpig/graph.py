@@ -84,10 +84,6 @@ class ComponentDecomposition:
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
 
-    @property
-    def r(self) -> int:
-        return len(self.components)
-
 
 def tagged_graph(p: int, q: int, edges) -> TaggedGraph:
     """Build a TaggedGraph from an edge iterable, collapsing duplicates."""

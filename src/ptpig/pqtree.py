@@ -460,25 +460,3 @@ class PQTree:
                 copies[node] = _make(node.kind, kids)
         t._root = copies[self._root]
         return t
-
-    def serialize(self) -> str:
-        """Nested-parentheses debug form, e.g. ``P(1 Q(2 3 4) 5)``."""
-        if self._root is None:
-            return "()"
-
-        # the stack holds nodes still to render and the text between them
-        out = []
-        stack = [self._root]
-        while stack:
-            item = stack.pop()
-            if not isinstance(item, _Node):
-                out.append(item)
-            elif item.kind == "L":
-                out.append(str(item.label))
-            else:
-                out.append(f"{item.kind}(")
-                stack.append(")")
-                for i, c in enumerate(reversed(item.children())):
-                    stack.extend((" ", c) if i else (c,))
-        return "".join(out)
-

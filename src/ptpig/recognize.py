@@ -745,43 +745,35 @@ def _arrange_components(sizes: list, states: list, multi_ws: list):
 
 
 class MissingWindow(ValueError):
-    """A nonprobe has no perfect substring in the sequence."""
+    """windows holds no window for a nonprobe: a fault of the recognizer."""
 
     def __init__(self, w: int):
         super().__init__(f"sequence admits no window for nonprobe {w}")
         self.witness = w
 
 
-def build_certificate(g: TaggedGraph, cs: CanonicalSequence, windows=None) -> dict:
+def build_certificate(g: TaggedGraph, cs: CanonicalSequence, windows: dict) -> dict:
     """Vertex -> (lo, hi) intervals realizing g from a perfect sequence.
 
-    Probes read their two positions straight off the sequence; nonprobes get
-    their (leftmost maximal) perfect substring, and isolated nonprobes park
-    one point each past every probe endpoint.  windows, when given, maps
-    every neighbourhood, keyed by the adjacency tuple g.adj[w], to that
-    substring, and nothing is searched: recognize reads each one off its
-    layout.  Without windows, each distinct neighbourhood is searched for
-    once and twin nonprobes share the result.  Raises MissingWindow for the
-    first nonprobe without a window: absent from windows when they are
-    given, else without a perfect substring in cs.
+    Probes read their two positions straight off the sequence, and each
+    nonprobe its perfect substring from windows, keyed by the adjacency
+    tuple g.adj[w]; nothing is searched.  Isolated nonprobes park one point
+    each past every probe endpoint.  Raises MissingWindow for the first
+    nonprobe with neighbours and no window.
     """
     cert: dict = {}
     for v in range(1, g.p + 1):
         cert[v] = (cs.L[v], cs.R[v])
-    found = {} if windows is None else windows
     spare = 2 * g.p + 1
     for w in range(g.p + 1, g.n + 1):
         nbrs = g.adj[w]
         if not nbrs:
             cert[w] = (spare, spare)
             spare += 1
-            continue
-        got = found.get(nbrs)
-        if got is None:
-            if windows is not None or (got := perfect_substring_bounds(cs, nbrs)) is None:
-                raise MissingWindow(w)
-            found[nbrs] = got
-        cert[w] = got
+        elif (got := windows.get(nbrs)) is None:
+            raise MissingWindow(w)
+        else:
+            cert[w] = got
     return cert
 
 

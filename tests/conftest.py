@@ -5,14 +5,18 @@ graph broke; nothing here is generated at import time except the graphs
 themselves.
 """
 
+import importlib.util
 import inspect
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from ptpig import tagged_graph
-from ptpig.pqtree import MARK_LEFT, MARK_RIGHT
+from ptpig import perfect_substring_bounds, tagged_graph
+from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, _Node
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 # Connected reduced-ish proper interval graph on 8 vertices (vertices 3 and 4
 # are closed twins).  Stair sequence golden lives in test_proper.
@@ -96,6 +100,47 @@ def strip_markers(order) -> tuple:
     if xs and xs[-1] == MARK_LEFT:
         xs.reverse()
     return tuple(x for x in xs if x != MARK_LEFT and x != MARK_RIGHT)
+
+
+def serialize(tree) -> str:
+    """A PQ-tree's nested-parentheses form, e.g. ``P(1 Q(2 3 4) 5)``."""
+    if tree._root is None:
+        return "()"
+    # the stack holds nodes still to render and the text between them
+    out = []
+    stack = [tree._root]
+    while stack:
+        item = stack.pop()
+        if not isinstance(item, _Node):
+            out.append(item)
+        elif item.kind == "L":
+            out.append(str(item.label))
+        else:
+            out.append(f"{item.kind}(")
+            stack.append(")")
+            for i, c in enumerate(reversed(item.children())):
+                stack.extend((" ", c) if i else (c,))
+    return "".join(out)
+
+
+def searched_windows(g, cs) -> dict:
+    """build_certificate's windows for a bare sequence: each neighbourhood,
+    keyed by g.adj[w], to its leftmost perfect substring in cs, where one
+    exists."""
+    windows = {}
+    for w in range(g.p + 1, g.n + 1):
+        nbrs = g.adj[w]
+        if nbrs and (got := perfect_substring_bounds(cs, nbrs)) is not None:
+            windows[nbrs] = got
+    return windows
+
+
+def load_spans():
+    """bench/spans.py, loaded from its file: bench is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def no_line_scan(text):

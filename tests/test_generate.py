@@ -37,7 +37,7 @@ def test_planted_instances_carry_their_proof():
 def test_probe_part_stays_connected():
     for seed in range(8):
         g, _ = generate(GenSpec(30, 5, seed=seed, overlap=0.2))
-        assert connected_components(probe_subgraph(g)).r == 1
+        assert len(connected_components(probe_subgraph(g)).components) == 1
 
 
 def test_small_seeded_examples():

@@ -263,18 +263,18 @@ def test_blocks_path_all_singleton():
 
 def test_components_single(ex36):
     cd = connected_components(probe_subgraph(ex36))
-    assert cd.r == 1
+    assert len(cd.components) == 1
 
 
 def test_components_isolated_vertices():
     cd = connected_components(probe_subgraph(tagged_graph(3, 0, [])))
-    assert cd.r == 3
+    assert len(cd.components) == 3
     assert cd.components == ((1,), (2,), (3,))
 
 
 def test_components_two_edges():
     cd = connected_components(probe_subgraph(tagged_graph(4, 0, [(1, 2), (3, 4)])))
-    assert cd.r == 2
+    assert len(cd.components) == 2
 
 
 def test_two_stretch_ok_on_rejected_instance(ex33):
@@ -437,4 +437,4 @@ def test_components_match_union_find(pair):
     roots = {v: find(v) for v in range(1, n + 1)}
     for comp in cd.components:
         assert len({roots[v] for v in comp}) == 1
-    assert cd.r == len({find(v) for v in range(1, n + 1)})
+    assert len(cd.components) == len({find(v) for v in range(1, n + 1)})

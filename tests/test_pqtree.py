@@ -10,7 +10,7 @@ from ptpig import OracleBudgetExceeded, PQTree
 from ptpig.oracle import MAX_UNIVERSE
 from ptpig.pqtree import MARK_LEFT, MARK_RIGHT, _preorder
 
-from .conftest import shallow_stack, strip_markers
+from .conftest import serialize, shallow_stack, strip_markers
 
 
 @dataclass(frozen=True)
@@ -244,11 +244,11 @@ def test_restrict_whole_universe_is_vacuous():
 def test_serialize_goldens():
     t = PQTree([1, 2, 3, 4, 5])
     t.restrict({2, 3, 4})
-    assert t.serialize() == "P(1 5 P(2 3 4))"
+    assert serialize(t) == "P(1 5 P(2 3 4))"
     t = PQTree([1, 2, 3, 4])
     t.restrict({1, 2})
     t.restrict({2, 3})
-    assert t.serialize() == "P(4 Q(1 2 3))"
+    assert serialize(t) == "P(4 Q(1 2 3))"
     assert frontier_set(t) == {(1, 2, 3, 4), (3, 2, 1, 4), (4, 1, 2, 3), (4, 3, 2, 1)}
 
 
@@ -256,8 +256,8 @@ def test_pinned_tree_matches_two_restricts():
     # a block's tree, built directly, is the tree that pinning the members
     # between the markers with two restricts reaches, and it goes on to
     # take the same restricts the same way
-    assert PQTree.pinned((3, 1, 2)).serialize() == "Q(⊢ P(3 1 2) ⊣)"
-    assert PQTree.pinned((5,)).serialize() == "Q(⊢ 5 ⊣)"
+    assert serialize(PQTree.pinned((3, 1, 2))) == "Q(⊢ P(3 1 2) ⊣)"
+    assert serialize(PQTree.pinned((5,))) == "Q(⊢ 5 ⊣)"
     for members, sets in (((3, 1, 2), [{1, 2}, {2, MARK_RIGHT}]),
                           ((5,), []),
                           ((4, 7), [{7, MARK_LEFT}]),
@@ -266,10 +266,10 @@ def test_pinned_tree_matches_two_restricts():
         _check_links(pinned)
         t = PQTree((*members, MARK_LEFT, MARK_RIGHT))
         assert t.restrict({*members, MARK_LEFT}) and t.restrict({*members, MARK_RIGHT})
-        assert pinned.serialize() == t.serialize()
+        assert serialize(pinned) == serialize(t)
         for s in sets:
             assert pinned.restrict(s) == t.restrict(s)
-            assert pinned.serialize() == t.serialize()
+            assert serialize(pinned) == serialize(t)
             assert frontier_set(pinned) == frontier_set(t)
 
 
@@ -277,8 +277,8 @@ def test_paired_tree_matches_pair_restricts():
     # the component-arrangement tree, built directly, is the tree that
     # restricting each marker pair in turn reaches, and it goes on to take
     # the same restricts the same way
-    assert PQTree.paired([(1, 2), ("a", "b")]).serialize() == "P(P(1 2) P(a b))"
-    assert PQTree.paired([(1, 2)]).serialize() == "P(1 2)"
+    assert serialize(PQTree.paired([(1, 2), ("a", "b")])) == "P(P(1 2) P(a b))"
+    assert serialize(PQTree.paired([(1, 2)])) == "P(1 2)"
     for r in range(2, 41):
         pairs = [(("L", i), ("R", i)) for i in range(r)]
         paired = PQTree.paired(pairs)
@@ -286,14 +286,14 @@ def test_paired_tree_matches_pair_restricts():
         t = PQTree([x for pair in pairs for x in pair])
         for pair in pairs:
             assert t.restrict(set(pair))
-        assert paired.serialize() == t.serialize()
+        assert serialize(paired) == serialize(t)
         for s in ({("R", 0), ("L", r - 1)}, {("R", r - 1), ("L", 1), ("R", 1)},
                   {("L", 0), ("R", 0), ("L", r // 2)}):
             ok = paired.restrict(s)
             assert ok == t.restrict(s)
             if not ok:
                 break
-            assert paired.serialize() == t.serialize()
+            assert serialize(paired) == serialize(t)
             _check_links(paired)
 
 
@@ -318,7 +318,7 @@ def test_partial_q_grows_at_its_full_end():
         t = PQTree(universe)
         for s in sets:
             assert t.restrict(s)
-        assert t.serialize() == shape
+        assert serialize(t) == shape
         assert frontier_set(t) == brute_consecutive(universe, sets)
 
 
@@ -342,9 +342,9 @@ def test_replaced_child_of_a_p_node_goes_to_its_right_end():
         t = PQTree(universe)
         for s in sets[:-1]:
             assert t.restrict(s)
-        assert t.serialize() == before
+        assert serialize(t) == before
         assert t.restrict(sets[-1])
-        assert t.serialize() == after
+        assert serialize(t) == after
         _check_links(t)
         assert frontier_set(t) == brute_consecutive(universe, sets)
 
@@ -404,12 +404,12 @@ def test_clone_of_a_deep_tree_needs_no_deep_recursion():
         copy = t.clone()
         _check_links(copy)
         assert copy.frontier() == t.frontier() == _preorder_leaves(t)
-        before = t.serialize()
-        assert copy.serialize() == before
+        before = serialize(t)
+        assert serialize(copy) == before
         with pytest.raises(FrontierCapExceeded):
             enumerate_frontiers(t, 10)
-    assert copy.restrict({n, n + 1}) and copy.serialize() != before
-    assert t.serialize() == before
+    assert copy.restrict({n, n + 1}) and serialize(copy) != before
+    assert serialize(t) == before
 
 
 def test_frontier_of_an_empty_tree_is_empty():
@@ -423,10 +423,10 @@ def test_restrict_refuses_a_label_outside_the_universe():
     after = [{2, 3}, {1, 2, 3}, {3, 4}]
     for s in ({9}, {1, 9}, {x + 1 for x in universe}):
         t = PQTree(universe)
-        before = t.serialize()
+        before = serialize(t)
         with pytest.raises(ValueError):
             t.restrict(s)
-        assert t.serialize() == before
+        assert serialize(t) == before
         assert _restrict_run(t, after) == _restrict_run(PQTree(universe), after)
 
 
@@ -578,7 +578,7 @@ def _restrict_run(tree, sets):
     out = []
     for s in sets:
         ok = tree.restrict(s)
-        out.append((ok, tree.serialize() if ok else None))
+        out.append((ok, serialize(tree) if ok else None))
         if not ok:
             break
         _check_links(tree)
@@ -629,7 +629,7 @@ def test_tree_that_adopted_a_clone_restricts_like_a_fresh_one(case):
     for x in before:
         assert fresh.restrict(x)
     assert fresh.restrict(s | {a if branch == 1 else b})
-    assert fresh.serialize() == t.serialize()
+    assert serialize(fresh) == serialize(t)
     assert _restrict_run(t, after) == _restrict_run(fresh, after)
 
 

@@ -29,7 +29,16 @@ from ptpig.pqtree import MARK_LEFT, MARK_RIGHT
 from ptpig.proper import _stair, order_blocks
 from ptpig.recognize import _CompState, _recorded_order, block_classes, block_window_candidates
 
-from .conftest import C4_CERT, EX22_STAIR, EX33_PROBE_STAIR, TABLE_CERT, shallow_stack, strip_markers
+from .conftest import (
+    C4_CERT,
+    EX22_STAIR,
+    EX33_PROBE_STAIR,
+    TABLE_CERT,
+    searched_windows,
+    serialize,
+    shallow_stack,
+    strip_markers,
+)
 
 # the module itself: the package's ``recognize`` attribute is the function
 REC = importlib.import_module("ptpig.recognize")
@@ -172,7 +181,7 @@ def _block_trees(state) -> dict:
         if not isinstance(tree, PQTree):
             s, tree = tree, PQTree.pinned(state.rg.blocks[k - 1])
             assert tree.restrict(s)
-        out[k] = tree.serialize()
+        out[k] = serialize(tree)
     return out
 
 
@@ -817,17 +826,21 @@ def test_pinned_clique_needs_no_deep_recursion():
 
 def test_build_certificate_identity(ex36):
     cs = sequence_from_iterable(EX22_STAIR)
-    assert build_certificate(ex36, cs) == TABLE_CERT
+    assert build_certificate(ex36, cs, searched_windows(ex36, cs)) == TABLE_CERT
+    with pytest.raises(TypeError):
+        build_certificate(ex36, cs)  # windows are read, never searched
 
 
 def test_build_certificate_rejects_missing_window(ex33):
+    cs = sequence_from_iterable(EX33_PROBE_STAIR)
     with pytest.raises(ValueError, match="nonprobe 7"):
-        build_certificate(ex33, sequence_from_iterable(EX33_PROBE_STAIR))
+        build_certificate(ex33, cs, searched_windows(ex33, cs))
 
 
 def test_build_certificate_parks_isolated_nonprobes():
     g = tagged_graph(2, 2, [(1, 2), (3, 1)])
-    cert = build_certificate(g, sequence_from_iterable((1, 2, 1, 2)))
+    cs = sequence_from_iterable((1, 2, 1, 2))
+    cert = build_certificate(g, cs, searched_windows(g, cs))
     assert cert[4] == (5, 5)  # one past the probe endpoints
     assert verify_certificate(g, cert) is None
 
@@ -930,7 +943,7 @@ def test_no_two_disjoint_windows_when_reduced(g):
     if not res.accepted:
         return
     pg = probe_subgraph(g)
-    if connected_components(pg).r != 1 or compute_blocks(pg).t != pg.n:
+    if len(connected_components(pg).components) != 1 or compute_blocks(pg).t != pg.n:
         return
     seq = res.sequence.seq
     for w in range(g.p + 1, g.n + 1):
@@ -951,7 +964,7 @@ def test_reversed_sequence_also_certifies(g):
     if not res.accepted:
         return
     rev = sequence_from_iterable(reversed(res.sequence.seq))
-    assert verify_certificate(g, build_certificate(g, rev)) is None
+    assert verify_certificate(g, build_certificate(g, rev, searched_windows(g, rev))) is None
 
 
 @given(tagged_instances())

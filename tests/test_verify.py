@@ -7,8 +7,13 @@ few sorted passes, must name the same first violation on every certificate,
 valid or tampered.
 """
 
+import ast
+import builtins
+import importlib
 import random
+import sys
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 from ptpig import GenSpec, generate, tagged_graph, validate_nonprobe_independence, verify_certificate
 
@@ -157,3 +162,31 @@ def test_edge_between_disjoint_intervals():
     g = tagged_graph(3, 0, [(1, 2), (2, 3), (1, 3)])
     cert = {1: (1, 3), 2: (2, 5), 3: (4, 6)}
     assert verify_certificate(g, cert) == reference_verify(g, cert) == ("probe-adjacency", 1, 3)
+
+
+VERIFIER = ("verify_certificate", "_first_containment", "_first_disjoint_edge")
+
+
+def test_verifier_loads_only_the_standard_library_graph_and_builtins():
+    # the verifier is deliberately independent of the recognizer that shares
+    # its module: its three functions read no name but a builtin, one of
+    # recognize.py's standard-library imports, a name imported from .graph,
+    # or each other
+    path = Path(importlib.import_module("ptpig.recognize").__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = set(dir(builtins)) | set(VERIFIER)
+    for node in tree.body:  # recognize.py imports only with from
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "graph" if node.level else node.module.split(".")[0] in sys.stdlib_module_names
+        ):
+            allowed |= {a.asname or a.name for a in node.names}
+    assert "bisect_right" in allowed and "validate_nonprobe_independence" in allowed
+    assert "PQTree" not in allowed and "perfect_substring_bounds" not in allowed
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in VERIFIER:
+        local = {a.arg for a in ast.walk(defs[name]) if isinstance(a, ast.arg)}
+        loads = set()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name):
+                (loads if isinstance(node.ctx, ast.Load) else local).add(node.id)
+        assert loads - local <= allowed, (name, sorted(loads - local - allowed))
