@@ -34,8 +34,8 @@ from .recognize import (
     check_perfect_substrings,
     perfect_substring_bounds,
     recognize,
-    verify_certificate,
 )
+from .verify import verify_certificate
 
 __version__ = "0.1.0"
 

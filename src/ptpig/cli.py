@@ -29,7 +29,8 @@ from .graph import (
 )
 from .oracle import OracleBudgetExceeded, oracle_recognize
 from .proper import stair_sequence
-from .recognize import RecognitionResult, recognize, verify_certificate
+from .recognize import RecognitionResult, recognize
+from .verify import verify_certificate
 
 _BENCH_SIZES = (10_000, 20_000, 40_000, 80_000)
 _SLOPE_WARN = 1.25

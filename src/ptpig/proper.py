@@ -237,16 +237,28 @@ def stair_sequence(g: ProbeGraph) -> CanonicalSequence | None:
 def _stair(order, upper) -> CanonicalSequence:
     """The stair sequence of a canonical ordering, upper[i] >= i the rightmost
     closed-neighbor position of position i: walk the order emitting first
-    occurrences, flushing each second one once its last neighbor is passed."""
+    occurrences, flushing each second one once its last neighbor is passed.
+    Each occurrence's position is recorded as it is emitted: every vertex is
+    emitted once as a first and once as a second occurrence, so the result
+    is valid by construction."""
     seq: list = []
-    ptr = 0
+    L: dict = {}
+    R: dict = {}
+    ptr = 0  # second occurrences emitted, j first ones: j + ptr in all
     for j, v in enumerate(order):
         while upper[ptr] < j:
-            seq.append(order[ptr])
+            u = order[ptr]
+            seq.append(u)
             ptr += 1
+            R[u] = j + ptr
         seq.append(v)
-    seq.extend(order[ptr:])
-    return sequence_from_iterable(seq)
+        L[v] = j + ptr + 1
+    j = len(order)
+    for u in order[ptr:]:
+        seq.append(u)
+        ptr += 1
+        R[u] = j + ptr
+    return CanonicalSequence(tuple(seq), L, R)
 
 
 def canonical_sequence(g: ProbeGraph, order) -> CanonicalSequence:

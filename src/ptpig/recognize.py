@@ -10,29 +10,35 @@ only its neighbors and each neighbor at least once.  One pipeline:
      with its components (two BFS passes over the blocks' smallest
      vertices) and the block stair sequence; each component works on its
      own slice of them;
-  3. per component, constrain each block's internal order, driven by a
-     window analysis of the block stair sequence per nonprobe, every
-     constraint through one door: a first one is only recorded, and a
-     block gets a PQ-tree (end markers included) at its second; then
+  3. a window or an end over whole blocks is a run of the block stair
+     sequence, whatever the orders inside the blocks: a local nonprobe
+     that takes every block it meets whole keeps its leftmost perfect run
+     of blocks, and a cross nonprobe that eats whole blocks at one end of
+     a chain keeps the run the end scan finds there.  Only a component
+     that a nonprobe meets a block of in part (a complete component is one
+     block) gets a state, which constrains each block's internal order,
+     driven by a window analysis of the block stair sequence per nonprobe,
+     every constraint through one door: a first one is only recorded, and
+     a block gets a PQ-tree (end markers included) at its second; then
      settle: apply the deferred either-end flushes through that door, try
      the readings that reverse flushed blocks, and fix the component's
-     vertex sequence.  A complete component (one block) has no block
-     analysis: settle cuts the circular order its sets allow and reads
-     every window and end off the runs its sets were restricted as;
+     vertex sequence.  A complete component has no block analysis: settle
+     cuts the circular order its sets allow and reads every window and end
+     off the runs its sets were restricted as;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
-  5. the components' settled sequences, each reversed when its component
-     is flipped, are laid end to end and read once for positions (a lone
-     component's settled sequence is final as it is); a component that no
-     local nonprobe of two or more neighbours reaches and every cross
-     nonprobe eats whole has nothing to decide, gets no state and is
-     written straight off the stair sequence.  Every window comes out of
-     recognition, with no search: a local nonprobe keeps the window found
-     for it while deciding, and a boundary nonprobe the run at the end it
-     eats, both offset or mirrored into the final sequence; a cross
-     nonprobe's window runs from its first piece to its last, a component
-     eaten whole giving its whole span; one neighbour u gets (L(u), R(u))
-     when those are adjacent, else (L(u), L(u)).
+  5. the components' sequences, each reversed when its component is
+     flipped, are laid end to end and read once for positions (a lone
+     component's settled sequence is final as it is); a component without
+     a state is written straight off the stair sequence.  Every window
+     comes out of recognition, with no search: a local nonprobe keeps the
+     window found for it while deciding, and a boundary nonprobe the run at
+     the end it eats, both offset or mirrored into the final sequence; a
+     run of whole blocks is read off the final positions of its end
+     blocks' members; a cross nonprobe's window runs from its first piece
+     to its last, a component eaten whole giving its whole span; one
+     neighbour u gets (L(u), R(u)) when those are adjacent, else
+     (L(u), L(u)).
 
 Rejections carry a machine-readable reason code and, where meaningful, a
 witness nonprobe.
@@ -40,10 +46,9 @@ witness nonprobe.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from operator import lt
+from itertools import accumulate
 
 from .graph import (
     ReducedGraph,
@@ -59,6 +64,11 @@ from .proper import (
     order_blocks,
     sequence_from_iterable,
 )
+
+# bench/spans.py's TRACED, and test_every_traced_name_resolves, look the
+# verifier up as ptpig.recognize.verify_certificate, so the name stays bound
+# here until the benchmark reads it from ptpig.verify
+from .verify import verify_certificate  # noqa: F401
 
 NONPROBE_EDGE = "NONPROBE_EDGE"
 PROBE_NOT_PROPER = "PROBE_NOT_PROPER"
@@ -196,14 +206,16 @@ def block_window_candidates(bcs: CanonicalSequence, fw: dict) -> set:
 
 
 class _CompState:
-    """Block orders and bookkeeping for laying out one probe component.
+    """Block orders and bookkeeping for laying out one probe component
+    that a nonprobe meets a block of in part.
 
     Every constraint on a block goes through _restrict, and an either-end
     flush waits in deferred for settle.  The component owns a run of the
     global block ordering, border, and the matching run of the block stair
     sequence bcs, positions first..last: components never share a block,
     and their stair sequences follow one another in the order of their
-    blocks.
+    blocks.  Windows and ends over whole blocks are not its business:
+    recognize keeps them at block level.
     """
 
     def __init__(self, rg: ReducedGraph, bcs: CanonicalSequence, border, lo: int, size: int):
@@ -221,8 +233,7 @@ class _CompState:
         self.vcs: CanonicalSequence | None = None
         # w -> a boundary nonprobe's perfect run at the end of vcs it eats
         self.ends: dict = {}
-        # g.adj[w] -> leftmost window of a local nonprobe: on a chain, in
-        # bcs for whole-block ones until settle, then in vcs for every one;
+        # g.adj[w] -> leftmost window in vcs of a nonprobe of window_ws;
         # place maps these and ends into the final sequence, which a lone
         # component's vcs already is
         self.windows: dict = {}
@@ -244,33 +255,16 @@ class _CompState:
             tree.restrict(recorded)
         return None if tree.restrict(s) else FINAL_CHECK_FAIL
 
-    def _whole_blocks(self, nbrs):
-        """The blocks nbrs touches, if it takes each of them whole, else None."""
-        ks = set(map(self.rg.block_of.__getitem__, nbrs))
-        return ks if sum(map(self.rg.block_size.__getitem__, ks)) == len(nbrs) else None
-
     # .. in-component nonprobes ..
 
     def constrain_local(self, w: int, nbrs) -> str | None:
         """Record/apply the constraints for a nonprobe confined to this
-        component; returns a reject code on impossibility."""
+        component that meets a block in part; returns a reject code on
+        impossibility."""
         if self.t == 1:
-            # a complete component: seeing the whole block, the window is
-            # the whole of σσ; else nbrs is a partial block, an arc of the
-            # block's order that settle places and reads
-            if len(nbrs) == self.size:
-                self.windows[nbrs] = (1, 2 * self.size)
-            else:
-                self.window_ws.append((w, nbrs))
-            return None
-        ks = self._whole_blocks(nbrs)
-        if ks is not None:
-            # a window over whole blocks is a perfect substring of the block
-            # sequence, whatever the orders inside the blocks
-            got = perfect_substring_bounds(self.bcs, ks)
-            if got is None:
-                return B1_FAIL
-            self.windows[nbrs] = got
+            # a complete component: nbrs is an arc of the block's order that
+            # settle places and reads
+            self.window_ws.append((w, nbrs))
             return None
         ngb, fw = block_classes(self.rg, nbrs)
         partials = sorted(k for k in fw if fw[k] == 2)
@@ -301,32 +295,19 @@ class _CompState:
     # .. nonprobes shared with other components ..
 
     def constrain_boundary(self, w: int, nbrs) -> str | None:
-        """A nonprobe reaching other components must eat a whole end here.
-        Either end fits a complete component: settle reads the set there."""
+        """A nonprobe reaching other components must eat a whole end here,
+        meeting a block of it in part.  Either end fits a complete component:
+        settle reads the set there."""
         self.boundary_ws.append((w, frozenset(nbrs)))
         if self.t == 1:
             return None
-        ks = self._whole_blocks(nbrs)
-        if ks is not None:
-            fw, partials = dict.fromkeys(ks, 1), []
-        else:
-            ngb, fw = block_classes(self.rg, nbrs)
-            partials = sorted(k for k in fw if fw[k] == 2)
-            if len(partials) >= 2:
-                return CASE4
-        # past the eaten blocks at an end, c is the only partial allowed here
-        seq = self.bcs.seq
-        fits = []  # can w eat the left end, the right end?
-        for z, step, pos in ((self.first, 1, self.bcs.L), (self.last, -1, self.bcs.R)):
-            while fw.get(seq[z - 1], 0) == 1:
-                z += step
-            c = seq[z - 1] if seq[z - 1] in fw else None
-            fits.append(set(partials) <= {c} and all(k == c or (pos[k] - z) * step < 0 for k in fw))
-        left, right = fits
+        ngb, fw = block_classes(self.rg, nbrs)
+        partials = [k for k in fw if fw[k] == 2]
+        if len(partials) >= 2:
+            return CASE4
+        left, right = _end_runs(self.bcs, self.first, self.last, fw, partials)
         if not (left or right):
             return FINAL_CHECK_FAIL
-        if not partials:
-            return None
         # eating the left end, the partial block is the window's last block
         # here; eating the right end, its first.  Both never fit a chain: c
         # would lie strictly inside the set's other blocks, or be both ends
@@ -402,16 +383,12 @@ class _CompState:
         the tree's ends, so two plain restricts state each flush exactly,
         and the queue's order only picks which failure is reported.  Then
         each reading of the block orders is expanded into a vertex sequence,
-        and the window of every local nonprobe that meets a block partially,
-        and every boundary nonprobe's end, is checked in it; a failure
-        names its witness on the first reading.
-
-        The settled sequence keeps every local nonprobe's leftmost window:
-        the one found here, or its block window expanded through the block
-        orders.  A run of whole neighbour blocks is a run of neighbour
-        vertices, and the leftmost at block level is the leftmost at vertex
-        level.  It keeps every boundary nonprobe's run at the end it eats,
-        in ends.
+        and the window of every local nonprobe and the end of every boundary
+        nonprobe, each meeting a block in part, is checked in it; a failure
+        names its witness on the first reading.  The reading that passes
+        keeps each window found, in windows, and each run at the end it
+        eats, in ends.  Nonprobes that meet only whole blocks are not
+        checked: their runs of blocks hold in every reading.
         """
         if self.t == 1:
             members = order = self.rg.blocks[self.border[0] - 1]
@@ -487,17 +464,8 @@ class _CompState:
                         break
                     ends[w] = got
             if bad is None:
-                # an occurrence of block k holds perms[k] at the vertices'
-                # first positions when it is k's first occurrence, else at
-                # their second ones
-                bseq, bL = self.bcs.seq, self.bcs.L
-                windows = self.windows
-                for nbrs, (lo, hi) in windows.items():
-                    k, k2 = bseq[lo - 1], bseq[hi - 1]
-                    windows[nbrs] = ((vcs.L if lo == bL[k] else vcs.R)[perms[k][0]],
-                                     (vcs.L if hi == bL[k2] else vcs.R)[perms[k2][-1]])
-                windows.update(found)
                 self.vcs = vcs
+                self.windows = found
                 self.ends = ends
                 return None
             if witness is None:
@@ -580,6 +548,43 @@ def _vertex_side(vcs: CanonicalSequence, nbrs):
     return got if got[1] == len(vcs.seq) else None
 
 
+def _end_runs(bcs: CanonicalSequence, first: int, last: int, fw: dict, partials: list):
+    """The runs (lo, hi) of whole blocks that a nonprobe eats at the left
+    end and at the right end of bcs's positions first..last, each None
+    where it cannot eat that end.  fw maps every block it meets to 1 (whole)
+    or 2 (in part), partials lists the latter.  Past the eaten blocks at an
+    end, the next block c is the only partial allowed, and every other
+    block met must have an occurrence among the eaten ones."""
+    seq = bcs.seq
+    runs = []
+    for z, step, pos in ((first, 1, bcs.L), (last, -1, bcs.R)):
+        while fw.get(seq[z - 1], 0) == 1:
+            z += step
+        c = seq[z - 1] if seq[z - 1] in fw else None
+        fits = set(partials) <= {c} and all(k == c or (pos[k] - z) * step < 0 for k in fw)
+        runs.append(((first, z - 1) if step == 1 else (z + 1, last)) if fits else None)
+    return runs
+
+
+def _block_span(bcs: CanonicalSequence, blocks, cs: CanonicalSequence, lo: int, hi: int,
+                flipped: bool):
+    """The positions in the final sequence cs of the run lo..hi of bcs, in a
+    component that cs holds reversed when flipped.  An occurrence of a block
+    holds all its members, at their first positions for the block's first
+    occurrence, else at their second ones, so the run starts at the least of
+    these over its first block and ends at the greatest over its last,
+    whatever the order inside the blocks.  Reversal swaps the run's ends,
+    and first and second positions."""
+    if flipped:
+        lo, hi, first, second = hi, lo, cs.R, cs.L
+    else:
+        first, second = cs.L, cs.R
+    seq, bL = bcs.seq, bcs.L
+    k, k2 = seq[lo - 1], seq[hi - 1]
+    return (min(map((first if lo == bL[k] else second).__getitem__, blocks[k - 1])),
+            max(map((first if hi == bL[k2] else second).__getitem__, blocks[k2 - 1])))
+
+
 def _nests(a, b) -> bool:
     return a <= b or b <= a
 
@@ -605,7 +610,7 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     bounds = [0, *bo.ends]  # component ci takes border[bounds[ci - 1]:bounds[ci]]
     acc = list(accumulate(map(rg.block_size.__getitem__, border), initial=0))
     sizes = [0] + [acc[hi] - acc[lo] for lo, hi in zip(bounds, bo.ends)]  # probes per component
-    # only a component with something to decide gets a state
+    # only a component that a nonprobe meets a block of in part gets a state
     states: list = [None] * (r + 1)
 
     def new_state(ci: int) -> _CompState:
@@ -620,7 +625,7 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     local_ws: dict = {}  # component -> [(w, nbrs)] confined to it
     multi_ws = []
     singles = []  # neighbourhoods of one probe
-    component_of, block_of = bo.component_of, rg.block_of
+    component_of, block_of, block_size = bo.component_of, rg.block_of, rg.block_size
     # a twin of an earlier nonprobe repeats its constraints: no-op restricts;
     # one neighbour always has a window in its own component and constrains
     # no tree, so its window is read off the final sequence.  Neighbourhoods
@@ -647,10 +652,27 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
             ci = next(iter(touched))
         local_ws.setdefault(ci, []).append((w, nbrs))
 
+    def whole(ci: int, nbrs):
+        """The blocks of component ci that nbrs meets, if it takes each of
+        them whole, else None; a complete component needs no block set."""
+        lo = bounds[ci - 1]
+        if bounds[ci] - lo == 1:
+            return {border[lo]} if len(nbrs) == sizes[ci] else None
+        ks = set(map(block_of.__getitem__, nbrs))
+        return ks if sum(map(block_size.__getitem__, ks)) == len(nbrs) else None
+
+    # a window or an end over whole blocks is a run of bcs, whatever the
+    # orders inside the blocks; it is read off the final sequence
+    block_windows: dict = {}  # neighbourhood -> leftmost perfect run in bcs
+    block_ends: dict = {}  # (w, component) -> the run in bcs at the end w eats
     for ci in sorted(local_ws):
-        state = new_state(ci)
         for w, nbrs in local_ws[ci]:
-            code = state.constrain_local(w, nbrs)
+            ks = whole(ci, nbrs)
+            if ks is None:
+                code = (states[ci] or new_state(ci)).constrain_local(w, nbrs)
+            else:
+                got = block_windows[nbrs] = perfect_substring_bounds(bcs, ks)
+                code = B1_FAIL if got is None else None
             if code is not None:
                 return _reject(missing if code == B1_FAIL else code, witness=w)
 
@@ -659,7 +681,15 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         if len(partial_cis) > 2:
             return _reject(CASE3, witness=w)
         for ci in partial_cis:
-            code = (states[ci] or new_state(ci)).constrain_boundary(w, touched[ci])
+            ks = whole(ci, touched[ci])
+            if ks is None:
+                code = (states[ci] or new_state(ci)).constrain_boundary(w, touched[ci])
+            else:
+                # a chain: no set of whole blocks is the run at both ends
+                left, right = _end_runs(bcs, 2 * bounds[ci - 1] + 1, 2 * bounds[ci],
+                                        dict.fromkeys(ks, 1), [])
+                block_ends[w, ci] = left or right
+                code = None if left or right else FINAL_CHECK_FAIL
             if code is not None:
                 return _reject(code, witness=w)
 
@@ -668,9 +698,14 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         if bad is not None:
             return _reject(FINAL_CHECK_FAIL, witness=bad)
 
-    got = _arrange_components(sizes, states, multi_ws)
+    def eats_left(w, ci: int) -> bool:
+        run = block_ends.get((w, ci))
+        return states[ci].ends[w][0] == 1 if run is None else run[0] == 2 * bounds[ci - 1] + 1
+
+    got = _arrange_components(sizes, multi_ws, eats_left)
     if isinstance(got, int):
         return _reject(MARKER_PQ_INFEASIBLE, witness=got)
+    flips = [False] * (r + 1)  # component -> flipped
     if r == 1 and states[1] is not None:  # a lone component is never flipped
         cs, windows = states[1].vcs, states[1].windows
     else:
@@ -678,28 +713,36 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         windows = {}  # neighbourhood -> window in the final sequence
         start = [0] * (r + 1)  # component -> its offset in seq
         for ci, flipped in got:
-            start[ci] = len(seq)
+            start[ci], flips[ci] = len(seq), flipped
             state = states[ci]
             if state is not None:
                 state.place(flipped, seq, windows)
                 continue
-            # nothing to decide: the sequence settle would build, each block
-            # in its own order; every nonprobe that reaches the component
-            # eats it whole, so either orientation serves
-            for k in bcs.seq[2 * bounds[ci - 1]:2 * bounds[ci]]:
-                seq.extend(rg.blocks[k - 1])
+            # no state: the sequence settle would build, each block in its
+            # own order, reversed when flipped
+            step = -1 if flipped else 1
+            for k in bcs.seq[2 * bounds[ci - 1]:2 * bounds[ci]][::step]:
+                seq.extend(rg.blocks[k - 1][::step])
         cs = sequence_from_iterable(seq)
-        # the arrangement keeps a cross nonprobe's components together, with
-        # each partly eaten one's eaten end inward, so its pieces make one run
-        for w, touched in multi_ws:
-            lo, hi = len(seq), 0
-            for ci, us in touched.items():
-                if len(us) == sizes[ci]:
-                    a, b = start[ci] + 1, start[ci] + 2 * sizes[ci]
-                else:
-                    a, b = states[ci].ends[w]
-                lo, hi = min(lo, a), max(hi, b)
-            windows[g.adj[w]] = (lo, hi)
+    # mirroring makes a local nonprobe's last perfect run its leftmost
+    for nbrs, (lo, hi) in block_windows.items():
+        flipped = flips[component_of[bcs.seq[lo - 1]]]
+        if flipped:
+            lo, hi = _last_run(bcs, set(map(block_of.__getitem__, nbrs)), lo, hi)
+        windows[nbrs] = _block_span(bcs, rg.blocks, cs, lo, hi, flipped)
+    # the arrangement keeps a cross nonprobe's components together, with
+    # each partly eaten one's eaten end inward, so its pieces make one run
+    for w, touched in multi_ws:
+        lo, hi = len(cs.seq), 0
+        for ci, us in touched.items():
+            if len(us) == sizes[ci]:
+                a, b = start[ci] + 1, start[ci] + 2 * sizes[ci]
+            elif (w, ci) in block_ends:
+                a, b = _block_span(bcs, rg.blocks, cs, *block_ends[w, ci], flips[ci])
+            else:
+                a, b = states[ci].ends[w]
+            lo, hi = min(lo, a), max(hi, b)
+        windows[g.adj[w]] = (lo, hi)
     L, R = cs.L, cs.R
     for nbrs in singles:
         lo, hi = L[nbrs[0]], R[nbrs[0]]
@@ -710,16 +753,17 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     return RecognitionResult(True, sequence=cs, certificate=cert)
 
 
-def _arrange_components(sizes: list, states: list, multi_ws: list):
+def _arrange_components(sizes: list, multi_ws: list, eats_left):
     """Order and orient the components, sizes[ci] probes in component ci.
 
     One consecutive-ones instance over {L, R} end markers per component:
     each marker pair stays together, and every cross-component nonprobe's
     marker set (both markers of fully-eaten components plus the eaten-end
     marker of partially-eaten ones) must come out consecutive.  A partially
-    eaten component has exactly one eaten end, fixed by settle: its state's
-    run for the nonprobe starts at 1 on the left end.  So the instance has
-    no choices left.  Returns [(component, flipped)] or a witness nonprobe.
+    eaten component has exactly one eaten end, fixed by the end scan or by
+    settle: eats_left(w, ci) tells whether it is the left one.  So the
+    instance has no choices left.  Returns [(component, flipped)] or a
+    witness nonprobe.
     """
     cis = range(1, len(sizes))
     if not multi_ws:
@@ -733,7 +777,7 @@ def _arrange_components(sizes: list, states: list, multi_ws: list):
                 tset.add(2 * ci - 1)
                 tset.add(2 * ci)
             else:
-                tset.add(2 * ci - 1 if states[ci].ends[w][0] == 1 else 2 * ci)
+                tset.add(2 * ci - 1 if eats_left(w, ci) else 2 * ci)
         if not tree.restrict(tset):
             return w
     # each component's markers are adjacent, so the first of each pair
@@ -748,7 +792,7 @@ class MissingWindow(ValueError):
     """windows holds no window for a nonprobe: a fault of the recognizer."""
 
     def __init__(self, w: int):
-        super().__init__(f"sequence admits no window for nonprobe {w}")
+        super().__init__(f"no window recorded for nonprobe {w}")
         self.witness = w
 
 
@@ -775,102 +819,3 @@ def build_certificate(g: TaggedGraph, cs: CanonicalSequence, windows: dict) -> d
         else:
             cert[w] = got
     return cert
-
-
-def verify_certificate(g: TaggedGraph, cert: dict):
-    """Independent check of an interval certificate against the graph.
-
-    Returns None when valid, else (kind, u, v) for the first violation, the
-    checks running in this order:
-    - a missing or inverted interval, the smallest such vertex;
-    - an interval for no vertex of g, the smallest such number, else the
-      first such key;
-    - an edge between nonprobes, as validate_nonprobe_independence finds it;
-    - probe properness (equal intervals are tolerated, strict containment
-      is not): the first probe, by (lo, -hi), inside a wider one before it;
-    - probe adjacency vs intersection: first a non-edge between intersecting
-      probes, scanning probes by (lo, hi), then an edge between disjoint
-      ones, by smaller and then larger vertex number;
-    - tagged adjacency vs endpoint containment: the smallest nonprobe, with
-      the smallest probe on which its neighbours and its interval disagree.
-
-    Probes are sorted once by (lo, hi), so each probe's later intersecting
-    probes are one slice of that order; apart from two sorts the checks are
-    O(n + m) set and bisect operations, most of them inside builtins.  The
-    containment and edge-count checks only tell whether a violation exists;
-    when one fails, a scan in the order above names its witness.
-    """
-    for v in range(1, g.n + 1):
-        iv = cert.get(v)
-        if iv is None or iv[0] > iv[1]:
-            return ("missing-interval", v, v)
-    if len(cert) != g.n:  # every vertex is present, so some key is not one
-        stray = [v for v in cert if v not in range(1, g.n + 1)]
-        v = min((v for v in stray if isinstance(v, int)), default=stray[0])
-        return ("unknown-vertex", v, v)
-    bad = validate_nonprobe_independence(g)
-    if bad is not None:
-        return ("independence", bad[0], bad[1])
-    p, adj = g.p, g.adj
-
-    order = sorted(range(1, p + 1), key=cert.__getitem__)
-    los = [cert[v][0] for v in order]
-    his = [cert[v][1] for v in order]
-    # read by (lo, hi), no interval strictly holds another iff lo and hi
-    # grow at the same steps: an equal lo needs an equal hi, a larger lo a
-    # larger hi
-    if list(map(lt, los, los[1:])) != list(map(lt, his, his[1:])):
-        return _first_containment(cert, p)
-
-    # the probes after u = order[i] that meet it are the slice up to the
-    # first lo past u's hi; they must all be its neighbours, and then the
-    # number of such pairs must be the number of probe edges, or some edge
-    # joins disjoint intervals
-    pairs = 0
-    for i, (u, hi) in enumerate(zip(order, his)):
-        later = order[i + 1:bisect_right(los, hi, i)]
-        if later:
-            nb = set(adj[u])
-            if not nb.issuperset(later):
-                return ("probe-adjacency", u, next(v for v in later if v not in nb))
-            pairs += len(later)
-    if 2 * pairs != sum(map(bisect_right, adj[1:p + 1], repeat(p))):  # nonprobes follow p
-        return _first_disjoint_edge(adj, cert, p)
-
-    # his is sorted too now, so every endpoint sorts by one merge
-    points = los + his
-    ends = sorted(range(2 * p), key=points.__getitem__)
-    values = list(map(points.__getitem__, ends))
-    owners = list(map((order + order).__getitem__, ends))
-    for w in range(p + 1, g.n + 1):
-        lo, hi = cert[w]
-        inside = set(owners[bisect_left(values, lo):bisect_right(values, hi)])
-        actual = adj[w]
-        if len(inside) != len(actual) or not inside.issuperset(actual):
-            return ("tag-adjacency", w, min(inside.symmetric_difference(actual)))
-    return None
-
-
-def _first_containment(cert: dict, p: int):
-    """The first probe, by (lo, -hi), whose interval lies strictly inside
-    the widest one before it, as ("containment", wider, inner)."""
-    keyed = sorted(range(1, p + 1), key=lambda v: (cert[v][0], -cert[v][1]))
-    widest = None
-    for v in keyed:
-        lo, hi = cert[v]
-        if widest is not None and hi <= cert[widest][1]:
-            if (lo, hi) != cert[widest]:
-                return ("containment", widest, v)
-        if widest is None or hi > cert[widest][1]:
-            widest = v
-    return None
-
-
-def _first_disjoint_edge(adj, cert: dict, p: int):
-    """The first probe edge uv, u < v, whose intervals are disjoint."""
-    for u in range(1, p + 1):
-        lo, hi = cert[u]
-        for v in adj[u]:
-            if u < v <= p and max(lo, cert[v][0]) > min(hi, cert[v][1]):
-                return ("probe-adjacency", u, v)
-    return None

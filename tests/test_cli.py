@@ -429,4 +429,4 @@ def test_missing_window_after_arrangement_exits_3(tmp_path, capsys, monkeypatch)
     path = write_graph(tmp_path, "a.txt", 8, 6, EX36_EDGES)
     assert main(["recognize", path]) == 3
     err = capsys.readouterr().err.splitlines()
-    assert err == ["internal error: MissingWindow: sequence admits no window for nonprobe 9"]
+    assert err == ["internal error: MissingWindow: no window recorded for nonprobe 9"]

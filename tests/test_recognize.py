@@ -12,6 +12,7 @@ from ptpig import (
     GenSpec,
     PQTree,
     build_certificate,
+    canonical_sequence,
     check_perfect_substrings,
     compute_blocks,
     connected_components,
@@ -327,12 +328,20 @@ def _end_sets(state) -> tuple[set, set]:
     return lefts, rights
 
 
+def _whole_blocks(rg, nbrs):
+    """The blocks nbrs meets, if it takes each of them whole, else None."""
+    ks = {rg.block_of[u] for u in nbrs}
+    return ks if sum(rg.block_size[k] for k in ks) == len(nbrs) else None
+
+
 def _check_end_sets(p, edges) -> None:
     """On a complete component every ∅ ≠ s ⊊ V is the perfect run at both
-    ends.  On a chain of two or more blocks none is, which is what lets
-    constrain_boundary restrict at once, with no either-end flush: it
-    accepts exactly the sets at an end and pins their partial block toward
-    that end."""
+    ends.  On a chain of two or more blocks none is, which is what lets the
+    end be decided at once, with no either-end flush.  A set of whole blocks
+    goes through the block-level end scan, which finds its run of blocks at
+    the end it eats; any other set goes through constrain_boundary, which
+    pins its partial block toward that end.  Each accepts exactly the sets
+    at an end."""
     state = _component_state(p, edges)
     lefts, rights = _end_sets(state)
     for r in range(1, p):
@@ -341,6 +350,13 @@ def _check_end_sets(p, edges) -> None:
                 assert nbrs in lefts and nbrs in rights
                 continue
             assert not (nbrs in lefts and nbrs in rights), nbrs
+            ks = _whole_blocks(state.rg, nbrs)
+            if ks is not None:
+                runs = REC._end_runs(state.bcs, state.first, state.last, dict.fromkeys(ks, 1), [])
+                assert [run is not None for run in runs] == [nbrs in lefts, nbrs in rights], nbrs
+                for run in filter(None, runs):
+                    assert set(state.bcs.seq[run[0] - 1:run[1]]) == ks
+                continue
             fresh = _CompState(state.rg, state.bcs, state.border, 0, p)
             ok = fresh.constrain_boundary(p + 1, nbrs) is None
             assert ok == (nbrs in lefts or nbrs in rights), nbrs
@@ -398,12 +414,35 @@ def test_flushed_blocks_sit_at_the_ends_of_a_chain():
         t = state.t
         for r in range(2, p + 1):
             for nbrs in map(frozenset, itertools.combinations(range(1, p + 1), r)):
+                if _whole_blocks(state.rg, nbrs) is not None:
+                    continue  # a run of bcs, found without a state
                 fresh = _CompState(state.rg, state.bcs, state.border, 0, p)
                 fresh.constrain_local(p + 1, nbrs)
                 for _, k, _ in fresh.deferred:
                     assert state.border.index(k) + 1 in (1, 2, t - 1, t), (edges, nbrs)
                 flushed += len(fresh.deferred)
     assert flushed >= 100
+
+
+def test_stair_records_the_positions_of_its_sequence():
+    # _stair records each occurrence's position as it emits it, in the
+    # order in which sequence_from_iterable would read them off its output;
+    # at block level and, through canonical_sequence, at vertex level
+    rng = random.Random(20_161_105)
+    graphs = [tagged_graph(p, 0, edges) for p, edges in _small_chains()]
+    graphs += [_planted_components(rng, [rng.randint(1, 12) for _ in range(rng.randint(1, 8))])[0]
+               for _ in range(100)]
+    for g in graphs:
+        pg = probe_subgraph(g)
+        rg = compute_blocks(pg)
+        bo = order_blocks(pg, rg)
+        cs = _stair(bo.order, bo.upper)
+        vertex = canonical_sequence(pg, [v for k in bo.order for v in rg.blocks[k - 1]])
+        for got in (cs, vertex):
+            want = sequence_from_iterable(got.seq)
+            assert type(got.seq) is tuple and got.seq == want.seq
+            assert list(got.L.items()) == list(want.L.items())
+            assert list(got.R.items()) == list(want.R.items())
 
 
 # -- golden verdicts -----------------------------------------------------------
@@ -1057,8 +1096,8 @@ def test_kept_windows_match_a_fresh_search(monkeypatch):
     arrange = REC._arrange_components
     flipped = []
 
-    def spy(sizes, states, multi_ws):
-        got = arrange(sizes, states, multi_ws)
+    def spy(*args):
+        got = arrange(*args)
         if not isinstance(got, int):
             flipped.extend(f for _, f in got if f)
         return got
@@ -1119,7 +1158,8 @@ def test_nested_clique_reads_windows_without_searching(monkeypatch):
     # probes K_m, nonprobe w_k sees probes 1..k: one complete component, so
     # the m - 2 partial windows of two or more probes are read off its cut
     # order, none searched; w_1's one probe is read off its two positions,
-    # and w_m gets the whole component
+    # and w_m gets the whole component, from its one search: the run of
+    # K_m's one block, block 1, in the block stair sequence
     m = 60
     edges = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     edges += [(i, m + k) for k in range(1, m + 1) for i in range(1, k + 1)]
@@ -1127,7 +1167,7 @@ def test_nested_clique_reads_windows_without_searching(monkeypatch):
     calls = _count_searches(monkeypatch)
     res = recognize(g)
     assert res.accepted and verify_certificate(g, res.certificate) is None
-    assert calls == []
+    assert calls == [(False, {1})]
     assert res.certificate[2 * m] == (1, 2 * m)
     for w in range(m + 1, 2 * m + 1):
         assert res.certificate[w] == perfect_substring_bounds(res.sequence, frozenset(g.adj[w]))
@@ -1287,22 +1327,37 @@ def _with_twins(rng, g):
     return tagged_graph(g.p, g.q + len(extra), edges)
 
 
-def test_components_with_nothing_to_decide_get_no_state(monkeypatch):
+def _spy_states_and_arrangement(monkeypatch) -> tuple[list, list]:
+    """Every _CompState recognize makes, and every arrangement it returns."""
     init, arrange = _CompState.__init__, REC._arrange_components
-    made, flipped = [], []
+    made, arranged = [], []
 
     def counted(self, *args):
         made.append(self)
         init(self, *args)
 
-    def spy(sizes, states, multi_ws):
-        got = arrange(sizes, states, multi_ws)
-        if not isinstance(got, int):
-            flipped.extend(f for _, f in got)
+    def spy(*args):
+        got = arrange(*args)
+        arranged.append(got)
         return got
 
     monkeypatch.setattr(_CompState, "__init__", counted)
     monkeypatch.setattr(REC, "_arrange_components", spy)
+    return made, arranged
+
+
+def _components(g):
+    """Each probe's component as recognize numbers them, each state's
+    component, and the probe count per component."""
+    pg = probe_subgraph(g)
+    rg = compute_blocks(pg)
+    bo = order_blocks(pg, rg)
+    comp = [0] + [bo.component_of[rg.block_of[u]] for u in range(1, g.p + 1)]
+    return comp, rg, collections.Counter(comp[1:])
+
+
+def test_components_with_nothing_to_decide_get_no_state(monkeypatch):
+    made, arranged = _spy_states_and_arrangement(monkeypatch)
     # isolated probes that one nonprobe swallows whole: nothing to decide
     p = 40
     g = tagged_graph(p, 1, [(u, p + 1) for u in range(1, p + 1)])
@@ -1310,26 +1365,28 @@ def test_components_with_nothing_to_decide_get_no_state(monkeypatch):
     assert res.accepted and verify_certificate(g, res.certificate) is None
     assert made == [] and res.certificate[p + 1] == (1, 2 * p)
     # seeded multi-component instances with twin nonprobes: a state for
-    # exactly the components that a local nonprobe of two or more
-    # neighbours, or a partial cross nonprobe, reaches
+    # exactly the components that a nonprobe of two or more neighbours
+    # meets a block of in part, a complete component's one block included
     rng = random.Random(20_161_103)
     twins = stateless = 0
+    flipped = []
     for _ in range(200):
         g, _ = _planted_components(rng, [rng.randint(1, 6) for _ in range(rng.randint(2, 8))])
         g = _with_twins(rng, g)
         made.clear()
+        arranged.clear()
         res = recognize(g)
         assert res.accepted and verify_certificate(g, res.certificate) is None
-        comp_of = connected_components(probe_subgraph(g)).component_of
-        size = collections.Counter(comp_of[1:g.p + 1])
+        flipped.extend(f for _, f in arranged[0])
+        comp, rg, size = _components(g)
         reached = set()
         for w in range(g.p + 1, g.n + 1):
             if len(g.adj[w]) < 2:
                 continue
-            touched = collections.Counter(comp_of[u] for u in g.adj[w])
-            reached |= {c for c, k in touched.items() if len(touched) == 1 or k < size[c]}
+            met = collections.Counter(rg.block_of[u] for u in g.adj[w])
+            reached |= {comp[rg.blocks[k - 1][0]] for k, c in met.items() if c < rg.block_size[k]}
         assert len(made) == len(reached)
-        assert {comp_of[s.rg.blocks[s.border[0] - 1][0]] for s in made} == reached
+        assert {comp[s.rg.blocks[s.border[0] - 1][0]] for s in made} == reached
         stateless += len(size) - len(reached)
         twins += g.q - len(set(g.adj[g.p + 1:]))
         cs = res.sequence
@@ -1337,3 +1394,32 @@ def test_components_with_nothing_to_decide_get_no_state(monkeypatch):
             if g.adj[w]:
                 assert res.certificate[w] == perfect_substring_bounds(cs, g.adj[w])
     assert stateless >= 300 and twins >= 1000 and flipped.count(True) >= 100
+
+
+def test_flipped_stateless_components_read_their_runs_mirrored(monkeypatch):
+    # a component without a state is written reversed when the arrangement
+    # flips it; its runs of whole blocks, local windows and the ends cross
+    # nonprobes eat, are read off the final sequence with first and second
+    # positions swapped, and a local window takes its last run of blocks,
+    # which mirroring makes the leftmost
+    made, arranged = _spy_states_and_arrangement(monkeypatch)
+    rng = random.Random(20_161_104)
+    carried = instances = 0
+    while carried < 100:
+        assert instances < 2000  # about 260 serve
+        g, _ = _planted_components(rng, [rng.randint(1, 6) for _ in range(rng.randint(2, 8))])
+        made.clear()
+        arranged.clear()
+        res = recognize(g)
+        instances += 1
+        assert res.accepted and verify_certificate(g, res.certificate) is None
+        comp, _, size = _components(g)
+        runs = set()  # components carrying a run of whole blocks
+        for w in range(g.p + 1, g.n + 1):
+            touched = collections.Counter(comp[u] for u in g.adj[w])
+            if len(touched) == 1:
+                assert res.certificate[w] == perfect_substring_bounds(res.sequence, g.adj[w])
+            if len(g.adj[w]) >= 2:
+                runs |= {c for c, k in touched.items() if len(touched) == 1 or k < size[c]}
+        stateful = {comp[s.rg.blocks[s.border[0] - 1][0]] for s in made}
+        carried += len({ci for ci, f in arranged[0] if f} & runs - stateful)
