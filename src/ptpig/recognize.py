@@ -10,35 +10,37 @@ only its neighbors and each neighbor at least once.  One pipeline:
      with its components (two BFS passes over the blocks' smallest
      vertices) and the block stair sequence; each component works on its
      own slice of them;
-  3. a window or an end over whole blocks is a run of the block stair
-     sequence, whatever the orders inside the blocks: a local nonprobe
-     that takes every block it meets whole keeps its leftmost perfect run
-     of blocks, and a cross nonprobe that eats whole blocks at one end of
-     a chain keeps the run the end scan finds there.  Only a component
-     that a nonprobe meets a block of in part (a complete component is one
-     block) gets a state, which constrains each block's internal order,
-     driven by a window analysis of the block stair sequence per nonprobe,
-     every constraint through one door: a first one is only recorded, and
-     a block gets a PQ-tree (end markers included) at its second; then
-     settle: apply the deferred either-end flushes through that door, try
-     the readings that reverse flushed blocks, and fix the component's
-     vertex sequence.  A complete component has no block analysis: settle
-     cuts the circular order its sets allow and reads every window and end
-     off the runs its sets were restricted as;
+  3. a window over whole blocks is a run of the block stair sequence,
+     whatever the orders inside the blocks: a local nonprobe that takes
+     every block it meets whole keeps its leftmost perfect run of blocks.
+     So is every end a cross nonprobe eats: on a chain only one end fits,
+     and the end scan decides it once, keeping one record of the run, the
+     members of a block met in part included.  Only a component that a
+     nonprobe meets a block of in part (a complete component is one block)
+     gets a state, which constrains each block's internal order, driven by
+     a window analysis of the block stair sequence per nonprobe, every
+     constraint through one door: a first one is only recorded, and a block
+     gets a PQ-tree (end markers included) at its second; then settle:
+     apply the deferred either-end flushes through that door, try the
+     readings that reverse flushed blocks, checking each eaten end's
+     partial block with no search, and fix the component's vertex
+     sequence.  A complete component has no block analysis: settle cuts
+     the circular order its sets allow, reads every window off the runs
+     its sets were restricted as, and records each eaten end at the
+     block's first or second occurrence;
   4. components are then arranged and oriented via a small
      consecutive-ones instance over per-component end markers;
   5. the components' sequences, each reversed when its component is
      flipped, are laid end to end and read once for positions (a lone
      component's settled sequence is final as it is); a component without
      a state is written straight off the stair sequence.  Every window
-     comes out of recognition, with no search: a local nonprobe keeps the
-     window found for it while deciding, and a boundary nonprobe the run at
-     the end it eats, both offset or mirrored into the final sequence; a
-     run of whole blocks is read off the final positions of its end
-     blocks' members; a cross nonprobe's window runs from its first piece
-     to its last, a component eaten whole giving its whole span; one
-     neighbour u gets (L(u), R(u)) when those are adjacent, else
-     (L(u), L(u)).
+     comes out of recognition, with no search: a local nonprobe that meets
+     a block in part keeps the window found for it while deciding, offset
+     or mirrored into the final sequence; one reader takes a run of whole
+     blocks, and an end record, off the final positions of its end blocks'
+     members; a cross nonprobe's window runs from its first piece to its
+     last, a component eaten whole giving its whole span; one neighbour u
+     gets (L(u), R(u)) when those are adjacent, else (L(u), L(u)).
 
 Rejections carry a machine-readable reason code and, where meaningful, a
 witness nonprobe.
@@ -214,27 +216,29 @@ class _CompState:
     global block ordering, border, and the matching run of the block stair
     sequence bcs, positions first..last: components never share a block,
     and their stair sequences follow one another in the order of their
-    blocks.  Windows and ends over whole blocks are not its business:
-    recognize keeps them at block level.
+    blocks.  Windows over whole blocks are not its business, and every end
+    is a record over bcs in recognize's one map: on a chain recognize
+    writes it and settle checks the partial block's order against it; on
+    a complete component settle writes it.
     """
 
-    def __init__(self, rg: ReducedGraph, bcs: CanonicalSequence, border, lo: int, size: int):
+    def __init__(self, rg: ReducedGraph, bcs: CanonicalSequence, border, lo: int):
         self.rg = rg
         self.bcs = bcs
         self.border = border
         self.t = len(border)
         self.first = 2 * lo + 1
         self.last = 2 * (lo + self.t)
-        self.size = size  # number of probes
         self.trees: dict = {}  # block -> its PQ-tree, or its one recorded constraint
         self.deferred: list = []  # (w, block, ngb) either-end flushes
         self.window_ws: list = []  # (w, nbrs) local, with a partial block
-        self.boundary_ws: list = []  # (w, ngb-in-component) needing an end window
+        # the ends cross nonprobes eat: on a chain (w, c, s, left), s the
+        # members of partial block c that w takes at the left end, or at the
+        # right one; on a complete component (w, s), the end left to settle
+        self.boundary_ws: list = []
         self.vcs: CanonicalSequence | None = None
-        # w -> a boundary nonprobe's perfect run at the end of vcs it eats
-        self.ends: dict = {}
         # g.adj[w] -> leftmost window in vcs of a nonprobe of window_ws;
-        # place maps these and ends into the final sequence, which a lone
+        # place maps these into the final sequence, which a lone
         # component's vcs already is
         self.windows: dict = {}
 
@@ -292,28 +296,6 @@ class _CompState:
                 return code
         return None
 
-    # .. nonprobes shared with other components ..
-
-    def constrain_boundary(self, w: int, nbrs) -> str | None:
-        """A nonprobe reaching other components must eat a whole end here,
-        meeting a block of it in part.  Either end fits a complete component:
-        settle reads the set there."""
-        self.boundary_ws.append((w, frozenset(nbrs)))
-        if self.t == 1:
-            return None
-        ngb, fw = block_classes(self.rg, nbrs)
-        partials = [k for k in fw if fw[k] == 2]
-        if len(partials) >= 2:
-            return CASE4
-        left, right = _end_runs(self.bcs, self.first, self.last, fw, partials)
-        if not (left or right):
-            return FINAL_CHECK_FAIL
-        # eating the left end, the partial block is the window's last block
-        # here; eating the right end, its first.  Both never fit a chain: c
-        # would lie strictly inside the set's other blocks, or be both ends
-        c = partials[0]
-        return self._restrict(c, frozenset(ngb[c]) | {MARK_RIGHT if right else MARK_LEFT})
-
     # .. choice resolution and the vertex sequence ..
 
     def _readings(self):
@@ -347,11 +329,12 @@ class _CompState:
                     perms[k] = tuple(reversed(sigma[k]))
             yield perms
 
-    def settle(self):
+    def settle(self, ends: dict, ci: int):
         """Make the choices left open and fix the component's vertex
-        sequence.  Returns None on success, else a witness: the first
-        nonprobe whose constraint fails, else the first local nonprobe
-        without a window, else the first boundary nonprobe at neither end.
+        sequence, component ci's.  Returns None on success, else a witness:
+        the first nonprobe whose constraint fails, else the first local
+        nonprobe without a window, else the first boundary nonprobe at
+        neither end.
 
         A complete component is one block with order σ and sequence σσ, so a
         local window is a circular arc of σ, and a boundary set is a prefix
@@ -370,11 +353,13 @@ class _CompState:
         frontier, read as a circle, is cut at the end of P_min whose other
         neighbour lies outside P_max, so every P_i starts σ.  Reversing σ
         turns arcs into arcs and prefixes into suffixes, so σσ is the one
-        reading.  Nothing is searched or re-read: a boundary set read as a
-        prefix eats (1, d), one read as the suffix a prefix leaves
-        (2n - d + 1, 2n), and a local set's arc starts at its restricted
-        run's first frontier index, or one past its complement's last,
-        mapped through the cut: (start + 1, start + d).
+        reading.  Nothing is searched or re-read: a boundary set s read as
+        a prefix is the end record (first, first, s, s) in ends, at the
+        block's first occurrence, and one read as the suffix a prefix
+        leaves is (last, last, s, s), at its second; a local set's arc
+        starts at its restricted run's first frontier index, or one past
+        its complement's last, mapped through the cut: (start + 1,
+        start + d).
 
         On a chain of blocks, the queued either-end flushes come first,
         each as _restrict(k, s) and then _restrict(k, U - s).  For
@@ -383,12 +368,14 @@ class _CompState:
         the tree's ends, so two plain restricts state each flush exactly,
         and the queue's order only picks which failure is reported.  Then
         each reading of the block orders is expanded into a vertex sequence,
-        and the window of every local nonprobe and the end of every boundary
-        nonprobe, each meeting a block in part, is checked in it; a failure
-        names its witness on the first reading.  The reading that passes
-        keeps each window found, in windows, and each run at the end it
-        eats, in ends.  Nonprobes that meet only whole blocks are not
-        checked: their runs of blocks hold in every reading.
+        and the window of every local nonprobe meeting a block in part is
+        searched in it.  A boundary nonprobe's end was decided at block
+        level, so it is checked with no search: its members s of partial
+        block c must be the first |s| of c's order when it eats the left
+        end, the last |s| when it eats the right (_at_end).  A failure names
+        its witness on the first reading; the reading that passes keeps each
+        window found, in windows.  Nonprobes that meet only whole blocks are
+        not checked: their runs of blocks hold in every reading.
         """
         if self.t == 1:
             members = order = self.rg.blocks[self.border[0] - 1]
@@ -400,12 +387,11 @@ class _CompState:
                 latest: dict = {}  # prefix -> the last nonprobe read as it
                 for w, s in self.boundary_ws:
                     # w eats a prefix of σ, or the suffix a prefix leaves
-                    d = len(s)
                     if chain and not _nests(s, chain[0]):
+                        ends[w, ci] = (self.last, self.last, s, s)
                         s = full - s
-                        self.ends[w] = (2 * n - d + 1, 2 * n)
                     else:
-                        self.ends[w] = (1, d)
+                        ends[w, ci] = (self.first, self.first, s, s)
                     if s not in latest:
                         i = bisect_left(chain, len(s), key=len)
                         if not all(_nests(s, p) for p in chain[max(i - 1, 0):i + 1]):
@@ -456,17 +442,14 @@ class _CompState:
                     bad = w
                     break
                 found[nbrs] = got
-            ends: dict = {}
             if bad is None:
-                for w, nbrs in self.boundary_ws:
-                    if (got := _vertex_side(vcs, nbrs)) is None:
+                for w, c, s, left in self.boundary_ws:
+                    if not _at_end(perms[c], s, left):
                         bad = w
                         break
-                    ends[w] = got
             if bad is None:
                 self.vcs = vcs
                 self.windows = found
-                self.ends = ends
                 return None
             if witness is None:
                 witness = bad
@@ -474,34 +457,29 @@ class _CompState:
 
     def place(self, flipped: bool, seq: list, windows: dict) -> None:
         """Append the settled sequence to the final one, seq, reversed when
-        the component is flipped, the windows of its local nonprobes, by
-        neighbourhood, to windows, and map its boundary runs, in ends, into
-        seq.  Mirroring makes the last perfect run the leftmost, so a
-        flipped component gives each local nonprobe its last run; a
-        boundary run is the one at its end, so it is mirrored as it is.
+        the component is flipped, and the windows of its local nonprobes, by
+        neighbourhood, to windows.  Mirroring makes the last perfect run the
+        leftmost, so a flipped component gives each local nonprobe its last
+        run.  The ends cross nonprobes eat are records over bcs, which
+        recognize reads off seq once it is complete.
 
-        self.windows and self.ends are rewritten in final positions rather
-        than copied, so the settled ones are freed here and the cyclic
-        collector, which counts live objects, runs no more often than
-        without them.
+        self.windows is rewritten in final positions rather than copied, so
+        the settled windows are freed here and the cyclic collector, which
+        counts live objects, runs no more often than without them.
         """
         vcs = self.vcs
         off = len(seq)
-        own, ends = self.windows, self.ends
+        own = self.windows
         if flipped:
             e = off + len(vcs.seq) + 1
             seq.extend(reversed(vcs.seq))
             for nbrs, (lo, hi) in own.items():
                 lo, hi = _last_run(vcs, nbrs, lo, hi)
                 own[nbrs] = (e - hi, e - lo)
-            for w, (lo, hi) in ends.items():
-                ends[w] = (e - hi, e - lo)
         else:
             seq.extend(vcs.seq)
             for nbrs, (lo, hi) in own.items():
                 own[nbrs] = (off + lo, off + hi)
-            for w, (lo, hi) in ends.items():
-                ends[w] = (off + lo, off + hi)
         windows.update(own)
 
 
@@ -533,56 +511,55 @@ def _cheapest_anchor(members: tuple, full: frozenset, sets: list):
     return min(members, key=extra.__getitem__), sides
 
 
-def _vertex_side(vcs: CanonicalSequence, nbrs):
-    """The perfect run (lo, hi) of nbrs at an end of the sequence, or None.
-
-    nbrs misses some vertex of the component, so at most one end qualifies:
-    the last vertex of the sequence is last in L order, so a run from the
-    left end that reaches it has covered the whole component.  A run at the
-    left end is the first run, and one at the right end the last.
-    """
-    got = perfect_substring_bounds(vcs, nbrs)
-    if got is None or got[0] == 1:
-        return got
-    got = _last_run(vcs, nbrs, *got)
-    return got if got[1] == len(vcs.seq) else None
+def _at_end(order: tuple, s, left: bool) -> bool:
+    """Whether s is the first |s| members of a block's order, when left,
+    else the last |s|: where a nonprobe that eats that end of a chain must
+    hold its partial block's members."""
+    return s.issuperset(order[:len(s)] if left else order[-len(s):])
 
 
-def _end_runs(bcs: CanonicalSequence, first: int, last: int, fw: dict, partials: list):
-    """The runs (lo, hi) of whole blocks that a nonprobe eats at the left
-    end and at the right end of bcs's positions first..last, each None
-    where it cannot eat that end.  fw maps every block it meets to 1 (whole)
-    or 2 (in part), partials lists the latter.  Past the eaten blocks at an
-    end, the next block c is the only partial allowed, and every other
-    block met must have an occurrence among the eaten ones."""
+def _end_runs(bcs: CanonicalSequence, first: int, last: int, fw: dict, c, s):
+    """The end records (lo, hi, head, tail) of the runs that a nonprobe eats
+    at the left end and at the right end of bcs's positions first..last,
+    each None where it cannot eat that end.  fw maps every block it meets
+    to 1 (whole) or 2 (in part); c is the one block it meets in part, and s
+    its neighbours there, or both are None.  Past the blocks eaten whole at
+    an end, the run stops before a block it does not meet, or takes s of
+    c's occurrence there and stops; every other block met must have an
+    occurrence among the ones eaten whole.  The record names s where it
+    cuts that occurrence: as tail at the left end, as head at the right."""
     seq = bcs.seq
     runs = []
     for z, step, pos in ((first, 1, bcs.L), (last, -1, bcs.R)):
         while fw.get(seq[z - 1], 0) == 1:
             z += step
-        c = seq[z - 1] if seq[z - 1] in fw else None
-        fits = set(partials) <= {c} and all(k == c or (pos[k] - z) * step < 0 for k in fw)
-        runs.append(((first, z - 1) if step == 1 else (z + 1, last)) if fits else None)
+        fits = (c is None or seq[z - 1] == c) and all(k == c or (pos[k] - z) * step < 0 for k in fw)
+        if c is None:
+            z -= step  # the run ends on the last block eaten whole
+        runs.append(((first, z, None, s) if step == 1 else (z, last, s, None)) if fits else None)
     return runs
 
 
 def _block_span(bcs: CanonicalSequence, blocks, cs: CanonicalSequence, lo: int, hi: int,
-                flipped: bool):
+                head, tail, flipped: bool):
     """The positions in the final sequence cs of the run lo..hi of bcs, in a
-    component that cs holds reversed when flipped.  An occurrence of a block
-    holds all its members, at their first positions for the block's first
-    occurrence, else at their second ones, so the run starts at the least of
-    these over its first block and ends at the greatest over its last,
-    whatever the order inside the blocks.  Reversal swaps the run's ends,
-    and first and second positions."""
+    component that cs holds reversed when flipped: the one reader of every
+    end record (lo, hi, head, tail) and every window of whole blocks.  An
+    occurrence of a block holds all its members, at their first positions
+    for the block's first occurrence, else at their second ones.  The run
+    starts at the least of these over head, the members of its first
+    block that bound it there, and ends at the greatest over tail, those of
+    its last block; None stands for all of the block's members, whatever
+    the order inside it.  Reversal swaps the run's ends, head and tail, and
+    first and second positions."""
     if flipped:
-        lo, hi, first, second = hi, lo, cs.R, cs.L
+        lo, hi, head, tail, first, second = hi, lo, tail, head, cs.R, cs.L
     else:
         first, second = cs.L, cs.R
     seq, bL = bcs.seq, bcs.L
     k, k2 = seq[lo - 1], seq[hi - 1]
-    return (min(map((first if lo == bL[k] else second).__getitem__, blocks[k - 1])),
-            max(map((first if hi == bL[k2] else second).__getitem__, blocks[k2 - 1])))
+    return (min(map((first if lo == bL[k] else second).__getitem__, head or blocks[k - 1])),
+            max(map((first if hi == bL[k2] else second).__getitem__, tail or blocks[k2 - 1])))
 
 
 def _nests(a, b) -> bool:
@@ -615,7 +592,7 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
 
     def new_state(ci: int) -> _CompState:
         lo = bounds[ci - 1]
-        state = states[ci] = _CompState(rg, bcs, border[lo:bounds[ci]], lo, sizes[ci])
+        state = states[ci] = _CompState(rg, bcs, border[lo:bounds[ci]], lo)
         return state
 
     # a connected, twin-free probe part has one stair sequence up to
@@ -661,10 +638,10 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         ks = set(map(block_of.__getitem__, nbrs))
         return ks if sum(map(block_size.__getitem__, ks)) == len(nbrs) else None
 
-    # a window or an end over whole blocks is a run of bcs, whatever the
-    # orders inside the blocks; it is read off the final sequence
+    # a window over whole blocks is a run of bcs, whatever the orders inside
+    # the blocks, and so is every end; each is read off the final sequence
     block_windows: dict = {}  # neighbourhood -> leftmost perfect run in bcs
-    block_ends: dict = {}  # (w, component) -> the run in bcs at the end w eats
+    ends: dict = {}  # (w, component) -> the record of the end w eats there
     for ci in sorted(local_ws):
         for w, nbrs in local_ws[ci]:
             ks = whole(ci, nbrs)
@@ -681,28 +658,40 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         if len(partial_cis) > 2:
             return _reject(CASE3, witness=w)
         for ci in partial_cis:
-            ks = whole(ci, touched[ci])
+            us, first, last = touched[ci], 2 * bounds[ci - 1] + 1, 2 * bounds[ci]
+            if last - first == 1:
+                # a complete component: either end fits, and settle picks it
+                (states[ci] or new_state(ci)).boundary_ws.append((w, frozenset(us)))
+                continue
+            ks = whole(ci, us)
             if ks is None:
-                code = (states[ci] or new_state(ci)).constrain_boundary(w, touched[ci])
+                ngb, fw = block_classes(rg, us)
+                partials = [k for k in fw if fw[k] == 2]
+                if len(partials) >= 2:
+                    return _reject(CASE4, witness=w)
+                c = partials[0]
+                s = frozenset(ngb[c])
             else:
-                # a chain: no set of whole blocks is the run at both ends
-                left, right = _end_runs(bcs, 2 * bounds[ci - 1] + 1, 2 * bounds[ci],
-                                        dict.fromkeys(ks, 1), [])
-                block_ends[w, ci] = left or right
-                code = None if left or right else FINAL_CHECK_FAIL
-            if code is not None:
-                return _reject(code, witness=w)
+                fw, c, s = dict.fromkeys(ks, 1), None, None
+            left, right = _end_runs(bcs, first, last, fw, c, s)
+            if not (left or right):
+                return _reject(FINAL_CHECK_FAIL, witness=w)
+            ends[w, ci] = left or right
+            if c is not None:
+                # both ends never fit a chain: c would lie strictly inside
+                # the set's other blocks, or be both ends.  Eating the left
+                # end, s must be a prefix of c's order, eating the right a
+                # suffix: pinned here, and checked by settle in each reading
+                state = states[ci] or new_state(ci)
+                state.boundary_ws.append((w, c, s, bool(left)))
+                if code := state._restrict(c, s | {MARK_LEFT if left else MARK_RIGHT}):
+                    return _reject(code, witness=w)
 
-    for state in filter(None, states):
-        bad = state.settle()
-        if bad is not None:
+    for ci, state in enumerate(states):
+        if state is not None and (bad := state.settle(ends, ci)) is not None:
             return _reject(FINAL_CHECK_FAIL, witness=bad)
 
-    def eats_left(w, ci: int) -> bool:
-        run = block_ends.get((w, ci))
-        return states[ci].ends[w][0] == 1 if run is None else run[0] == 2 * bounds[ci - 1] + 1
-
-    got = _arrange_components(sizes, multi_ws, eats_left)
+    got = _arrange_components(sizes, bounds, multi_ws, ends)
     if isinstance(got, int):
         return _reject(MARKER_PQ_INFEASIBLE, witness=got)
     flips = [False] * (r + 1)  # component -> flipped
@@ -729,7 +718,7 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         flipped = flips[component_of[bcs.seq[lo - 1]]]
         if flipped:
             lo, hi = _last_run(bcs, set(map(block_of.__getitem__, nbrs)), lo, hi)
-        windows[nbrs] = _block_span(bcs, rg.blocks, cs, lo, hi, flipped)
+        windows[nbrs] = _block_span(bcs, rg.blocks, cs, lo, hi, None, None, flipped)
     # the arrangement keeps a cross nonprobe's components together, with
     # each partly eaten one's eaten end inward, so its pieces make one run
     for w, touched in multi_ws:
@@ -737,10 +726,8 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
         for ci, us in touched.items():
             if len(us) == sizes[ci]:
                 a, b = start[ci] + 1, start[ci] + 2 * sizes[ci]
-            elif (w, ci) in block_ends:
-                a, b = _block_span(bcs, rg.blocks, cs, *block_ends[w, ci], flips[ci])
             else:
-                a, b = states[ci].ends[w]
+                a, b = _block_span(bcs, rg.blocks, cs, *ends[w, ci], flips[ci])
             lo, hi = min(lo, a), max(hi, b)
         windows[g.adj[w]] = (lo, hi)
     L, R = cs.L, cs.R
@@ -753,17 +740,18 @@ def recognize(g: TaggedGraph) -> RecognitionResult:
     return RecognitionResult(True, sequence=cs, certificate=cert)
 
 
-def _arrange_components(sizes: list, multi_ws: list, eats_left):
-    """Order and orient the components, sizes[ci] probes in component ci.
+def _arrange_components(sizes: list, bounds: list, multi_ws: list, ends: dict):
+    """Order and orient the components, sizes[ci] probes in component ci,
+    whose blocks are border[bounds[ci - 1]:bounds[ci]].
 
     One consecutive-ones instance over {L, R} end markers per component:
     each marker pair stays together, and every cross-component nonprobe's
     marker set (both markers of fully-eaten components plus the eaten-end
     marker of partially-eaten ones) must come out consecutive.  A partially
-    eaten component has exactly one eaten end, fixed by the end scan or by
-    settle: eats_left(w, ci) tells whether it is the left one.  So the
-    instance has no choices left.  Returns [(component, flipped)] or a
-    witness nonprobe.
+    eaten component has exactly one eaten end, its record ends[w, ci]: the
+    left one when the record starts at the component's first position of
+    the block stair sequence.  So the instance has no choices left.  Returns
+    [(component, flipped)] or a witness nonprobe.
     """
     cis = range(1, len(sizes))
     if not multi_ws:
@@ -777,7 +765,7 @@ def _arrange_components(sizes: list, multi_ws: list, eats_left):
                 tset.add(2 * ci - 1)
                 tset.add(2 * ci)
             else:
-                tset.add(2 * ci - 1 if eats_left(w, ci) else 2 * ci)
+                tset.add(2 * ci - 1 if ends[w, ci][0] == 2 * bounds[ci - 1] + 1 else 2 * ci)
         if not tree.restrict(tset):
             return w
     # each component's markers are adjacent, so the first of each pair

@@ -157,7 +157,7 @@ def _component_state(p, edges):
     rg = compute_blocks(pg)
     bo = order_blocks(pg, rg)
     assert bo.ends == [rg.t]
-    return _CompState(rg, _stair(bo.order, bo.upper), bo.order, 0, p)
+    return _CompState(rg, _stair(bo.order, bo.upper), bo.order, 0)
 
 
 def _chain_edges(groups) -> set:
@@ -213,32 +213,73 @@ LOCAL_ROWS = [
                          ids=[r[0] for r in LOCAL_ROWS])
 def test_local_role_table(row, groups, nbrs, pairs, deferred, trees):
     state = _chain_state(groups)
-    w = state.size + 1
+    w = sum(map(len, groups)) + 1
     assert block_window_candidates(state.bcs, block_classes(state.rg, nbrs)[1]) == pairs
     assert state.constrain_local(w, frozenset(nbrs)) is None
     assert state.deferred == deferred
     assert _block_trees(state) == trees
 
 
-# eating the left end, the partial block is the window's last block there,
-# so its neighbours form a prefix; eating the right end, a suffix
+def _cross_graph(p, edges, nbrs):
+    """Probes 1..p joined by edges, one more probe x = p + 1 with no probe
+    neighbour, and the nonprobe w = p + 2 on nbrs and x: w swallows x's
+    component and eats an end of the rest when nbrs misses some of it.
+    Blocks are numbered by smallest vertex and components from the
+    smallest block, so 1..p is component 1, laid out as on its own."""
+    return tagged_graph(p + 1, 1, set(edges) | {(u, p + 2) for u in (*nbrs, p + 1)})
+
+
+def _spy_ends(monkeypatch) -> tuple[list, list]:
+    """Every _CompState recognize makes, and the end records it hands to
+    each arrangement, keyed (w, component)."""
+    init, arrange = _CompState.__init__, REC._arrange_components
+    made, records = [], []
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    def spy(sizes, bounds, multi_ws, ends):
+        records.append(ends)
+        return arrange(sizes, bounds, multi_ws, ends)
+
+    monkeypatch.setattr(_CompState, "__init__", counted)
+    monkeypatch.setattr(REC, "_arrange_components", spy)
+    return made, records
+
+
+# eating the left end, the partial block is the run's last block there, so
+# its neighbours form a prefix, the record's tail; eating the right end, a
+# suffix, its head
 BOUNDARY_ROWS = [
-    ("left-end", ENDS, {1, 2, 3, 4, 5}, {3: "Q(⊢ 5 P(6 7) ⊣)"}),
-    ("right-end", ENDS, {3, 4, 5, 6, 7}, {1: "Q(⊢ P(1 2) 3 ⊣)"}),
-    ("right-end-middle", MIDDLE, {4, 5}, {2: "Q(⊢ P(2 3) 4 ⊣)"}),
-    # a complete component: resolve_circular reads the boundary set itself
-    ("both-ends-one-block", [(1, 2, 3)], {3}, {}),
+    ("left-end", ENDS, {1, 2, 3, 4, 5}, {3: "Q(⊢ 5 P(6 7) ⊣)"}, (1, 4, None, {5})),
+    ("right-end", ENDS, {3, 4, 5, 6, 7}, {1: "Q(⊢ P(1 2) 3 ⊣)"}, (3, 6, {3}, None)),
+    ("right-end-middle", MIDDLE, {4, 5}, {2: "Q(⊢ P(2 3) 4 ⊣)"}, (5, 6, {4}, None)),
+    # a complete component: settle reads the boundary set itself, and the
+    # first one as a prefix, at the block's first occurrence
+    ("both-ends-one-block", [(1, 2, 3)], {3}, {}, (1, 1, {3}, {3})),
 ]
 
 
-@pytest.mark.parametrize("row,groups,nbrs,trees", BOUNDARY_ROWS,
+@pytest.mark.parametrize("row,groups,nbrs,trees,record", BOUNDARY_ROWS,
                          ids=[r[0] for r in BOUNDARY_ROWS])
-def test_boundary_role_table(row, groups, nbrs, trees):
-    state = _chain_state(groups)
-    assert state.constrain_boundary(state.size + 1, frozenset(nbrs)) is None
+def test_boundary_role_table(row, groups, nbrs, trees, record, monkeypatch):
+    made, records = _spy_ends(monkeypatch)
+    p = sum(map(len, groups))
+    w = p + 2
+    g = _cross_graph(p, _chain_edges(groups), nbrs)
+    res = recognize(g)
+    assert res.accepted and verify_certificate(g, res.certificate) is None
+    [state] = made
     assert state.deferred == []
     assert _block_trees(state) == trees
-    assert state.boundary_ws == [(state.size + 1, frozenset(nbrs))]
+    lo, hi, head, tail = records[0][w, 1]
+    assert (lo, hi, head, tail) == record
+    if state.t == 1:
+        assert state.boundary_ws == [(w, frozenset(nbrs))]
+    else:
+        s = head or tail
+        assert state.boundary_ws == [(w, state.rg.block_of[min(s)], s, head is None)]
 
 
 def test_recorded_order_is_the_pinned_tree_after_one_restrict():
@@ -337,32 +378,45 @@ def _whole_blocks(rg, nbrs):
 def _check_end_sets(p, edges) -> None:
     """On a complete component every ∅ ≠ s ⊊ V is the perfect run at both
     ends.  On a chain of two or more blocks none is, which is what lets the
-    end be decided at once, with no either-end flush.  A set of whole blocks
-    goes through the block-level end scan, which finds its run of blocks at
-    the end it eats; any other set goes through constrain_boundary, which
-    pins its partial block toward that end.  Each accepts exactly the sets
-    at an end."""
+    end be decided at once, with no either-end flush.  Every other set goes
+    through recognize's one end path, as the set of a nonprobe that also
+    swallows an isolated probe, whether it takes whole blocks or one block
+    in part.  It is accepted exactly when it is the run at an end, and its
+    end record covers the run of blocks it eats there; a partial block's
+    members are the record's tail at the left end, its head at the right,
+    and are pinned toward that end."""
     state = _component_state(p, edges)
     lefts, rights = _end_sets(state)
-    for r in range(1, p):
-        for nbrs in map(frozenset, itertools.combinations(range(1, p + 1), r)):
-            if state.t == 1:
-                assert nbrs in lefts and nbrs in rights
-                continue
-            assert not (nbrs in lefts and nbrs in rights), nbrs
-            ks = _whole_blocks(state.rg, nbrs)
-            if ks is not None:
-                runs = REC._end_runs(state.bcs, state.first, state.last, dict.fromkeys(ks, 1), [])
-                assert [run is not None for run in runs] == [nbrs in lefts, nbrs in rights], nbrs
-                for run in filter(None, runs):
-                    assert set(state.bcs.seq[run[0] - 1:run[1]]) == ks
-                continue
-            fresh = _CompState(state.rg, state.bcs, state.border, 0, p)
-            ok = fresh.constrain_boundary(p + 1, nbrs) is None
-            assert ok == (nbrs in lefts or nbrs in rights), nbrs
-            assert fresh.deferred == []
-            for s in fresh.trees.values():
-                assert s - nbrs == {MARK_LEFT if nbrs in lefts else MARK_RIGHT}
+    w = p + 2
+    with pytest.MonkeyPatch.context() as mp:
+        made, records = _spy_ends(mp)
+        for r in range(1, p):
+            for nbrs in map(frozenset, itertools.combinations(range(1, p + 1), r)):
+                if state.t == 1:
+                    assert nbrs in lefts and nbrs in rights
+                    continue
+                assert not (nbrs in lefts and nbrs in rights), nbrs
+                made.clear()
+                records.clear()
+                res = recognize(_cross_graph(p, edges, nbrs))
+                assert res.accepted == (nbrs in lefts or nbrs in rights), nbrs
+                if not res.accepted:
+                    continue
+                lo, hi, head, tail = records[0][w, 1]
+                assert (lo == state.first) == (nbrs in lefts), nbrs
+                ngb, fw = block_classes(state.rg, nbrs)
+                assert set(state.bcs.seq[lo - 1:hi]) == set(fw), nbrs
+                ks = _whole_blocks(state.rg, nbrs)
+                if ks is not None:
+                    assert head is tail is None and made == []
+                    continue
+                [c] = [k for k in fw if fw[k] == 2]
+                s = frozenset(ngb[c])
+                assert (head, tail) == ((None, s) if nbrs in lefts else (s, None))
+                [fresh] = made
+                assert fresh.deferred == []
+                for t in fresh.trees.values():
+                    assert t - nbrs == {MARK_LEFT if nbrs in lefts else MARK_RIGHT}
 
 
 @given(proper_components())
@@ -416,12 +470,68 @@ def test_flushed_blocks_sit_at_the_ends_of_a_chain():
             for nbrs in map(frozenset, itertools.combinations(range(1, p + 1), r)):
                 if _whole_blocks(state.rg, nbrs) is not None:
                     continue  # a run of bcs, found without a state
-                fresh = _CompState(state.rg, state.bcs, state.border, 0, p)
+                fresh = _CompState(state.rg, state.bcs, state.border, 0)
                 fresh.constrain_local(p + 1, nbrs)
                 for _, k, _ in fresh.deferred:
                     assert state.border.index(k) + 1 in (1, 2, t - 1, t), (edges, nbrs)
                 flushed += len(fresh.deferred)
     assert flushed >= 100
+
+
+def _vertex_side(vcs, nbrs):
+    """The perfect run (lo, hi) of nbrs at an end of the sequence, or None,
+    found by searching the expanded sequence: the reference for _at_end.
+
+    nbrs misses some vertex of the component, so at most one end qualifies:
+    the last vertex of the sequence is last in L order, so a run from the
+    left end that reaches it has covered the whole component.  A run at the
+    left end is the first run, and one at the right end the last.
+    """
+    got = perfect_substring_bounds(vcs, nbrs)
+    if got is None or got[0] == 1:
+        return got
+    got = REC._last_run(vcs, nbrs, *got)
+    return got if got[1] == len(vcs.seq) else None
+
+
+def test_end_check_matches_a_search_of_the_expanded_sequence():
+    # every small chain, every set that meets exactly one block c in part
+    # and fits an end at block level, and every order of c's members: the
+    # check passes exactly when a search of the expanded sequence finds the
+    # set's run at that end, and the end record, read through the one
+    # reader, is that run, mirrored when the sequence is reversed
+    checked = passed = 0
+    for p, edges in _small_chains():
+        state = _component_state(p, edges)
+        bcs, blocks = state.bcs, state.rg.blocks
+        for r in range(1, p):
+            for nbrs in map(frozenset, itertools.combinations(range(1, p + 1), r)):
+                ngb, fw = block_classes(state.rg, nbrs)
+                partials = [k for k in fw if fw[k] == 2]
+                if len(partials) != 1:
+                    continue
+                c = partials[0]
+                s = frozenset(ngb[c])
+                left, right = REC._end_runs(bcs, state.first, state.last, fw, c, s)
+                if not (left or right):
+                    continue
+                record = left or right
+                sigma = {k: blocks[k - 1] for k in state.border}
+                for sigma[c] in itertools.permutations(blocks[c - 1]):
+                    vcs = sequence_from_iterable([v for k in bcs.seq for v in sigma[k]])
+                    end = len(vcs.seq)
+                    got = _vertex_side(vcs, nbrs)
+                    found = got is not None and (got[0] == 1 if left else got[1] == end)
+                    assert REC._at_end(sigma[c], s, bool(left)) == found, (edges, nbrs, sigma[c])
+                    checked += 1
+                    if not found:
+                        continue
+                    passed += 1
+                    assert REC._block_span(bcs, blocks, vcs, *record, False) == got
+                    rev = sequence_from_iterable(reversed(vcs.seq))
+                    assert REC._block_span(bcs, blocks, rev, *record, True) == (
+                        end + 1 - got[1], end + 1 - got[0])
+    assert passed >= 10_000 and checked - passed >= 50_000
 
 
 def test_stair_records_the_positions_of_its_sequence():
@@ -558,12 +668,12 @@ def _circular_restricts(monkeypatch) -> list:
             current[-1].append(frozenset(s))
         return restrict(tree, s)
 
-    def spy_settle(state):
+    def spy_settle(state, *args):
         if state.t > 1:
-            return settle(state)
+            return settle(state, *args)
         current.append([])
         try:
-            return settle(state)
+            return settle(state, *args)
         finally:
             sets = current.pop()
             if sets:
@@ -661,9 +771,9 @@ def test_either_end_flushes_never_clone(monkeypatch):
     settle = _CompState.settle
     flushed = []
 
-    def counted(self):
+    def counted(self, *args):
         flushed.append(bool(self.deferred))
-        return settle(self)
+        return settle(self, *args)
 
     monkeypatch.setattr(_CompState, "settle", counted)
     for seed in range(300):
@@ -725,17 +835,17 @@ def test_boundary_set_at_neither_end_tries_the_next_reading(monkeypatch):
              (3, 13), (4, 5), (4, 8), (4, 9), (4, 12), (5, 8), (5, 9), (5, 12), (6, 7), (6, 12),
              (6, 13), (7, 11), (7, 13), (8, 9), (8, 12), (9, 12), (10, 13)]
     g = tagged_graph(10, 3, edges)
-    side = REC._vertex_side
-    sides = []
+    at_end = REC._at_end
+    checks = []
 
-    def spy(vcs, nbrs):
-        sides.append(side(vcs, nbrs))
-        return sides[-1]
+    def spy(order, s, left):
+        checks.append((s, left, at_end(order, s, left)))
+        return checks[-1][-1]
 
-    monkeypatch.setattr(REC, "_vertex_side", spy)
+    monkeypatch.setattr(REC, "_at_end", spy)
     res = recognize(g)
     assert res.accepted and verify_certificate(g, res.certificate) is None
-    assert sides == [None, (1, 1)]
+    assert checks == [({6}, True, False), ({6}, True, True)]
 
 
 def test_accepts_probe_free_graph():
@@ -1423,3 +1533,37 @@ def test_flipped_stateless_components_read_their_runs_mirrored(monkeypatch):
                 runs |= {c for c, k in touched.items() if len(touched) == 1 or k < size[c]}
         stateful = {comp[s.rg.blocks[s.border[0] - 1][0]] for s in made}
         carried += len({ci for ci, f in arranged[0] if f} & runs - stateful)
+
+
+def test_ends_read_in_flipped_components(monkeypatch):
+    # seeded planted instances until the reader has read at least 100
+    # partial chain ends, a block met in part on one side of the record,
+    # and 100 suffix ends of complete components, at the block's second
+    # occurrence, in flipped components: reversal swaps the record's ends,
+    # its head and tail, and first and second positions, and every cross
+    # nonprobe's interval is its leftmost perfect run
+    span = REC._block_span
+    partial = suffix = 0
+
+    def spy(bcs, blocks, cs, lo, hi, head, tail, flipped):
+        nonlocal partial, suffix
+        if flipped:
+            partial += (head is None) != (tail is None)
+            suffix += head is not None and head is tail and lo != bcs.L[bcs.seq[lo - 1]]
+        return span(bcs, blocks, cs, lo, hi, head, tail, flipped)
+
+    monkeypatch.setattr(REC, "_block_span", spy)
+    rng = random.Random(20_161_106)
+    instances = crossing = 0
+    while partial < 100 or suffix < 100:
+        assert instances < 2000  # about 600 serve
+        g, _ = _planted_components(rng, [rng.randint(2, 5) for _ in range(rng.randint(10, 30))])
+        res = recognize(g)
+        instances += 1
+        assert res.accepted and verify_certificate(g, res.certificate) is None
+        comp = _components(g)[0]
+        for w in range(g.p + 1, g.n + 1):
+            if len({comp[u] for u in g.adj[w]}) > 1:
+                crossing += 1
+                assert res.certificate[w] == perfect_substring_bounds(res.sequence, g.adj[w])
+    assert crossing >= 4000
