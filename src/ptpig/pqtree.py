@@ -17,11 +17,16 @@ order.  ``PQTree.paired`` builds the tree in which pairs of leaves
 are each consecutive, P(P(a₁ b₁) … P(aᵣ bᵣ)), at once too.
 
 A reduction keeps its state on the nodes, as Booth and Lueker's does: each
-pertinent node's pertinent children, its count of pertinent leaves, the
-children still to be counted and its full or partial mark are fields of
-the node, valid only under the stamp that the call wrote there.  Stamps
-come from one counter for every tree, so a field that an earlier or failed
-call left behind, in this tree or in a clone it adopted, is never read.
+pertinent node's pertinent children, its count of pertinent leaves, its
+count of full children, the children still to be counted and its full or
+partial mark are fields of the node, valid only under the stamp that the
+call wrote there.  Stamps come from one counter for every tree, so a field
+that an earlier or failed call left behind, in this tree or in a clone it
+adopted, is never read.  Counting and the templates share one pass over the
+pertinent nodes, children before parents: each node passes its counts to
+its parent before its own template runs.  A wholly pertinent node, P or Q,
+at the pertinent root or below it, is marked full from its count of full
+children alone; it builds no list and walks no run.
 ``restrict`` first sorts s by the labels' ranks, O(|s| log |s|), so that
 the order in which it meets the leaves, and with it every layout, does not
 depend on hash order.  The rest of a successful ``restrict`` costs
@@ -61,6 +66,10 @@ class _Node:
         "stamp",  # the last restrict that reached this node
         "pert",  # pertinent children, in order of first reach
         "count",  # pertinent leaves below
+        # full children counted so far, in the one pass that also runs the
+        # templates; when it reaches child_count, the node, P or Q, is
+        # wholly pertinent and marked full from it
+        "nfull",
         "waiting",  # pertinent children not yet counted
         "mark",  # _FULL, or (side of the full end, node standing in the tree)
     )
@@ -75,8 +84,8 @@ class _Node:
         self.rsib = None
         self.child_count = 0
         self.stamp = 0
-        # a pertinent leaf is always one full leaf, so its fields never change
-        self.count = 1 if kind == "L" else 0
+        # a pertinent leaf is always one full leaf: its mark never changes,
+        # and restrict counts it into its parent without a count of its own
         self.mark = _FULL if kind == "L" else None
 
     def children(self) -> list["_Node"]:
@@ -262,28 +271,42 @@ class PQTree:
                     break
                 par.stamp = stamp
                 par.pert = [node]
-                par.count = 0
+                par.count = par.nfull = 0
                 par.waiting = 1
                 node = par
 
         # Children before parents: a node is ready once all its pertinent
-        # children are; the first to hold all of s is the pertinent root.
-        agenda = list(leaves)
-        for node in agenda:
-            if node.count == size:
-                break
+        # children have passed it their counts.  The leaves, each one full
+        # leaf, pass theirs in one loop; every other node passes its own on
+        # before its template runs, so counting and templates share one pass
+        # over the agenda.  The node whose count reaches |s| is the pertinent
+        # root; it holds every other node on the agenda, so it comes last.
+        agenda = []
+        for node in leaves:
             par = node.parent
-            par.count += node.count
+            par.count += 1
+            par.nfull += 1
             par.waiting -= 1
             if not par.waiting:
                 agenda.append(par)
-        pert_root = node
-        del agenda[: len(leaves)]
 
         pseudos: list[_Node] = []
 
         for node in agenda:
-            is_root = node is pert_root
+            is_root = node.count == size
+            full = node.nfull == node.child_count
+            if not is_root:
+                par = node.parent
+                par.count += node.count
+                par.nfull += full
+                par.waiting -= 1
+                if not par.waiting:
+                    agenda.append(par)
+            if full:
+                # wholly pertinent subtree, of either kind, at the pertinent
+                # root too: marked full and left as it is
+                node.mark = _FULL
+                continue
             if node.kind == "P":
                 fulls: list[_Node] = []
                 partials: list[tuple] = []  # their marks
@@ -292,9 +315,6 @@ class PQTree:
                         fulls.append(c)
                     else:
                         partials.append(c.mark)
-                if not partials and len(fulls) == node.child_count:
-                    node.mark = _FULL  # wholly pertinent subtree
-                    continue
                 if len(partials) > 1 + is_root:
                     return False
                 for f in fulls:
@@ -352,13 +372,10 @@ class PQTree:
             right = c0
             while right.rsib is not None and right.rsib.stamp == stamp:
                 right = right.rsib
-            run = []
-            c = left
-            while True:
-                run.append(c)
-                if c is right:
-                    break
+            c, run = left, [left]
+            while c is not right:
                 c = c.rsib
+                run.append(c)
             if len(run) != len(node.pert):
                 return False
             # partial children only at the ends of the run: one below the
@@ -368,9 +385,6 @@ class PQTree:
             if len(run_partial) > 1 + is_root or any(0 < i < last for i in run_partial):
                 return False
             if not is_root:
-                if not run_partial and len(run) == node.child_count:
-                    node.mark = _FULL
-                    continue
                 # the run reaches one end of the node, its partial child
                 # sits at the run's other end, and the full end is the one
                 # the run reaches

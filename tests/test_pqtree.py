@@ -349,6 +349,56 @@ def test_replaced_child_of_a_p_node_goes_to_its_right_end():
         assert frontier_set(t) == brute_consecutive(universe, sets)
 
 
+def test_wholly_pertinent_root_is_left_as_it_is():
+    # a set that is already the leaves of one node, P or Q, makes that node
+    # a pertinent root whose children are all full: it is marked full and
+    # not rebuilt, so P(1 2) does not become P(P(1 2)) when {1, 2} comes twice
+    cases = [
+        ([1, 2, 3, 4], [{1, 2}], "P(3 4 P(1 2))"),
+        ([1, 2, 3, 4, 5], [{1, 2}, {1, 2, 3}], "P(4 5 P(P(1 2) 3))"),
+        ([1, 2, 3, 4], [{1, 2}, {2, 3}], "P(4 Q(1 2 3))"),
+    ]
+    for universe, sets, shape in cases:
+        t = PQTree(universe)
+        for s in sets:
+            assert t.restrict(s)
+        assert serialize(t) == shape
+        assert t.restrict(set().union(*sets))
+        assert serialize(t) == shape
+        _check_links(t)
+        assert frontier_set(t) == brute_consecutive(universe, sets)
+
+
+def test_wholly_pertinent_q_below_a_p_root_is_full():
+    # Q(1 2 3), whose children are all full, is one full child of the
+    # pertinent root P(4 5 Q(1 2 3)) when {1, 2, 3, 4} is restricted
+    universe = [1, 2, 3, 4, 5]
+    sets = [{1, 2}, {2, 3}, {1, 2, 3, 4}]
+    t = PQTree(universe)
+    for s in sets:
+        assert t.restrict(s)
+    assert serialize(t) == "P(5 P(Q(1 2 3) 4))"
+    _check_links(t)
+    assert frontier_set(t) == brute_consecutive(universe, sets)
+
+
+def test_nested_prefixes_on_a_pinned_tree_keep_the_markers_at_the_ends():
+    # wholly pertinent P-nodes at the pertinent root, below a P root and
+    # below the Q root, and a wholly pertinent run of the root Q-node
+    members = (1, 2, 3, 4, 5, 6)
+    sets = [{1, 2}, {1, 2, 3}, {1, 2, 3}, {1, 2, 3, 4}, {1, 2, 3, 4, MARK_LEFT},
+            {1, 2, MARK_LEFT}, {1, 2, 3, 4, MARK_LEFT}, {5, 6, MARK_RIGHT}]
+    t = PQTree.pinned(members)
+    for s in sets:
+        assert t.restrict(s)
+        fr = t.frontier()
+        assert fr[0] == MARK_LEFT and fr[-1] == MARK_RIGHT
+        _check_links(t)
+    assert serialize(t) == "Q(⊢ P(1 2) 3 4 P(5 6) ⊣)"
+    pins = [{*members, MARK_LEFT}, {*members, MARK_RIGHT}]
+    assert frontier_set(t) == brute_consecutive((*members, MARK_LEFT, MARK_RIGHT), pins + sets)
+
+
 def test_frontier_cap():
     with pytest.raises(FrontierCapExceeded):
         enumerate_frontiers(PQTree([1, 2, 3, 4]), 10)
